@@ -218,7 +218,6 @@ impl BddManager {
         let live = |b: Bdd| mark[b.index()];
         self.ite_cache
             .retain(|&(f, g, h), r| live(f) && live(g) && live(h) && live(*r));
-        self.not_cache.retain(|&f, r| live(f) && live(*r));
         self.quant_cache.retain(|&(f, _, _), r| live(f) && live(*r));
         self.compose_cache
             .retain(|&(f, _, g), r| live(f) && live(g) && live(*r));
@@ -235,35 +234,33 @@ mod tests {
 
     #[test]
     fn sweep_reclaims_unreachable_nodes_and_preserves_roots() {
-        for ce in [false, true] {
-            let mut m = BddManager::with_complement_edges(ce);
-            let x = m.new_var();
-            let y = m.new_var();
-            let z = m.new_var();
-            let (vx, vy, vz) = (m.var(x), m.var(y), m.var(z));
-            let keep = m.xor(vx, vy);
-            let dead = {
-                let t = m.and(vy, vz);
-                m.or(t, vx)
-            };
-            assert!(!dead.is_const());
-            let before = m.node_count();
-            let reclaimed = m.collect_garbage(&[keep]);
-            assert!(reclaimed > 0, "ce={ce}: some garbage must exist");
-            assert_eq!(m.node_count(), before - reclaimed);
-            assert_eq!(m.arena_size(), before, "slots are reused, not dropped");
-            // The kept function still evaluates correctly…
-            assert!(m.eval(keep, &[true, false, false]));
-            assert!(!m.eval(keep, &[true, true, false]));
-            // …and canonicity holds: rebuilding it returns the same handle.
-            let (vx, vy) = (m.var(x), m.var(y));
-            assert_eq!(m.xor(vx, vy), keep);
-        }
+        let mut m = BddManager::new();
+        let x = m.new_var();
+        let y = m.new_var();
+        let z = m.new_var();
+        let (vx, vy, vz) = (m.var(x), m.var(y), m.var(z));
+        let keep = m.xor(vx, vy);
+        let dead = {
+            let t = m.and(vy, vz);
+            m.or(t, vx)
+        };
+        assert!(!dead.is_const());
+        let before = m.node_count();
+        let reclaimed = m.collect_garbage(&[keep]);
+        assert!(reclaimed > 0, "some garbage must exist");
+        assert_eq!(m.node_count(), before - reclaimed);
+        assert_eq!(m.arena_size(), before, "slots are reused, not dropped");
+        // The kept function still evaluates correctly…
+        assert!(m.eval(keep, &[true, false, false]));
+        assert!(!m.eval(keep, &[true, true, false]));
+        // …and canonicity holds: rebuilding it returns the same handle.
+        let (vx, vy) = (m.var(x), m.var(y));
+        assert_eq!(m.xor(vx, vy), keep);
     }
 
     #[test]
     fn freed_slots_are_reused_before_the_arena_grows() {
-        let mut m = BddManager::new_ce();
+        let mut m = BddManager::new();
         let x = m.new_var();
         let y = m.new_var();
         let (vx, vy) = (m.var(x), m.var(y));
@@ -298,7 +295,7 @@ mod tests {
 
     #[test]
     fn maybe_gc_respects_policy_and_rearms() {
-        let mut m = BddManager::new_ce();
+        let mut m = BddManager::new();
         let x = m.new_var();
         let y = m.new_var();
         let (vx, vy) = (m.var(x), m.var(y));
@@ -320,7 +317,7 @@ mod tests {
 
     #[test]
     fn sweep_preserves_complement_pair_sharing() {
-        let mut m = BddManager::new_ce();
+        let mut m = BddManager::new();
         let x = m.new_var();
         let y = m.new_var();
         let (vx, vy) = (m.var(x), m.var(y));

@@ -146,47 +146,6 @@ impl BddManager {
         Ok(self.mk(var, lo, hi))
     }
 
-    /// Negation that aborts once the manager exceeds `limit` nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NodeLimitExceeded`] when the cap is hit; the manager is
-    /// left consistent and usable.
-    pub fn try_not(&mut self, f: Bdd, limit: usize) -> Result<Bdd, NodeLimitExceeded> {
-        self.try_not_b(f, &OpBudget::nodes_only(limit))
-            .map_err(|a| abort_to_limit(a, limit))
-    }
-
-    /// Negation under a full [`OpBudget`] (node cap + cancellation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OpAbort`] when the cap is hit or cancellation fires;
-    /// the manager is left consistent and usable.
-    pub fn try_not_b(&mut self, f: Bdd, budget: &OpBudget<'_>) -> Result<Bdd, OpAbort> {
-        if self.ce {
-            // A tag flip allocates nothing, so it cannot exceed a budget.
-            return Ok(f.negate());
-        }
-        if f.is_false() {
-            return Ok(Bdd::TRUE);
-        }
-        if f.is_true() {
-            return Ok(Bdd::FALSE);
-        }
-        if let Some(&r) = self.not_cache.get(&f) {
-            self.obs_cache_hit();
-            return Ok(r);
-        }
-        self.obs_cache_miss();
-        let n = self.node(f);
-        let lo = self.try_not_b(n.lo, budget)?;
-        let hi = self.try_not_b(n.hi, budget)?;
-        let r = self.mk_budgeted(n.var, lo, hi, budget)?;
-        self.not_cache.insert(f, r);
-        Ok(r)
-    }
-
     /// If-then-else that aborts once the manager exceeds `limit` nodes.
     ///
     /// # Errors
@@ -203,7 +162,10 @@ impl BddManager {
             .map_err(|a| abort_to_limit(a, limit))
     }
 
-    /// If-then-else under a full [`OpBudget`].
+    /// If-then-else under a full [`OpBudget`]. The arguments are first
+    /// rewritten into a canonical form — `f` regular and `g` regular — so
+    /// a cache entry serves the whole 4-element orbit `{ite(f,g,h),
+    /// ite(¬f,h,g), ¬ite(f,¬g,¬h), ¬ite(¬f,¬h,¬g)}`.
     ///
     /// # Errors
     ///
@@ -215,69 +177,9 @@ impl BddManager {
         h: Bdd,
         budget: &OpBudget<'_>,
     ) -> Result<Bdd, OpAbort> {
-        if self.ce {
-            return self.try_ite_ce_b(f, g, h, budget);
-        }
-        self.obs_ite_call();
-        if f.is_true() {
-            return Ok(g);
-        }
-        if f.is_false() {
-            return Ok(h);
-        }
-        if g == h {
-            return Ok(g);
-        }
-        if g.is_true() && h.is_false() {
-            return Ok(f);
-        }
-        if g.is_false() && h.is_true() {
-            return self.try_not_b(f, budget);
-        }
-        let key = (f, g, h);
-        if let Some(&r) = self.ite_cache.get(&key) {
-            self.obs_cache_hit();
-            return Ok(r);
-        }
-        self.obs_cache_miss();
-        // Mirrors `ite`: split on the variable at the topmost order
-        // position among the three roots.
-        let top = self.blevel(f).min(self.blevel(g)).min(self.blevel(h));
-        let top_var = self.level2var[top as usize];
-        let cof = |m: &BddManager, b: Bdd, phase: bool| -> Bdd {
-            if m.blevel(b) != top {
-                b
-            } else {
-                let n = m.node(b);
-                if phase {
-                    n.hi
-                } else {
-                    n.lo
-                }
-            }
-        };
-        let (f0, f1) = (cof(self, f, false), cof(self, f, true));
-        let (g0, g1) = (cof(self, g, false), cof(self, g, true));
-        let (h0, h1) = (cof(self, h, false), cof(self, h, true));
-        let lo = self.try_ite_b(f0, g0, h0, budget)?;
-        let hi = self.try_ite_b(f1, g1, h1, budget)?;
-        let r = self.mk_budgeted(top_var, lo, hi, budget)?;
-        self.ite_cache.insert(key, r);
-        Ok(r)
-    }
-
-    /// [`try_ite_b`](Self::try_ite_b) under complement edges: the exact
-    /// budget discipline of the plain mirror with the canonical argument
-    /// rewriting of [`ite`](Self::ite)'s complement-edge path.
-    fn try_ite_ce_b(
-        &mut self,
-        f: Bdd,
-        g: Bdd,
-        h: Bdd,
-        budget: &OpBudget<'_>,
-    ) -> Result<Bdd, OpAbort> {
         self.obs_ite_call();
         let (mut g, mut h) = (g, h);
+        // Arguments equal (or complementary) to the selector collapse.
         if g == f {
             g = Bdd::TRUE;
         } else if g == f.negate() {
@@ -303,6 +205,8 @@ impl BddManager {
         if g.is_false() && h.is_true() {
             return Ok(f.negate());
         }
+        // Canonicalize: a complemented selector swaps branches; a
+        // complemented then-branch factors the negation out of the result.
         let mut f = f;
         if f.is_complemented() {
             f = f.negate();
@@ -319,6 +223,9 @@ impl BddManager {
             return Ok(if neg_result { r.negate() } else { r });
         }
         self.obs_cache_miss();
+        // `top` is an order *position*; recursion splits on the variable
+        // currently at that position, taking cofactors of the *function*
+        // (the complement tag on an argument propagates to its children).
         let top = self.blevel(f).min(self.blevel(g)).min(self.blevel(h));
         let top_var = self.level2var[top as usize];
         let cof = |m: &BddManager, b: Bdd, phase: bool| -> Bdd {
@@ -336,8 +243,8 @@ impl BddManager {
         let (f0, f1) = (cof(self, f, false), cof(self, f, true));
         let (g0, g1) = (cof(self, g, false), cof(self, g, true));
         let (h0, h1) = (cof(self, h, false), cof(self, h, true));
-        let lo = self.try_ite_ce_b(f0, g0, h0, budget)?;
-        let hi = self.try_ite_ce_b(f1, g1, h1, budget)?;
+        let lo = self.try_ite_b(f0, g0, h0, budget)?;
+        let hi = self.try_ite_b(f1, g1, h1, budget)?;
         let r = self.mk_budgeted(top_var, lo, hi, budget)?;
         self.ite_cache.insert(key, r);
         Ok(if neg_result { r.negate() } else { r })
@@ -359,8 +266,7 @@ impl BddManager {
     ///
     /// Returns [`OpAbort`] when the cap is hit or cancellation fires.
     pub fn try_xor_b(&mut self, f: Bdd, g: Bdd, budget: &OpBudget<'_>) -> Result<Bdd, OpAbort> {
-        let ng = self.try_not_b(g, budget)?;
-        self.try_ite_b(f, ng, g, budget)
+        self.try_ite_b(f, g.negate(), g, budget)
     }
 
     /// Conjunction that aborts once the manager exceeds `limit` nodes.
@@ -423,8 +329,8 @@ impl BddManager {
 
     /// Budgeted quantification of either polarity. Complemented handles
     /// recurse through `Qv.¬f = ¬Q̄v.f` so the cache only holds regular
-    /// keys (plain mode never reaches that branch).
-    fn try_quantify_b(
+    /// keys.
+    pub(crate) fn try_quantify_b(
         &mut self,
         f: Bdd,
         v: Var,
@@ -540,9 +446,6 @@ mod tests {
         let e = m.exists(a, x);
         let f = m.try_exists(a, x, 1_000_000).unwrap();
         assert_eq!(e, f);
-        let nf = m.not(a);
-        let ng = m.try_not(a, 1_000_000).unwrap();
-        assert_eq!(nf, ng);
     }
 
     #[test]

@@ -13,20 +13,12 @@ use crate::unique::UniqueTables;
 /// Boolean operations. All operations that combine BDDs are methods on the
 /// manager and take handles by value.
 ///
-/// A manager runs in one of two modes, fixed at construction:
-///
-/// * **Plain mode** ([`new`](Self::new)): edges are untagged except for
-///   the [`Bdd::FALSE`] constant, negation is a recursive (memoized)
-///   operation, and a function and its complement occupy separate nodes.
-/// * **Complement-edge mode** ([`new_ce`](Self::new_ce)): any edge may
-///   carry a complement tag, negation is a constant-time tag flip, and a
-///   function shares every node with its complement — roughly halving
-///   unique-table and arena sizes. Canonicity is kept by the *canonical
-///   then-edge rule*: a stored node's `hi` edge is never complemented
-///   (`mk` renormalizes and returns a tagged handle instead).
-///
-/// Both modes expose the same API and compute the same functions; only
-/// representation size and negation cost differ.
+/// Edges carry complement tags: any edge may be complemented, negation
+/// is a constant-time tag flip, and a function shares every node with
+/// its complement — roughly halving unique-table and arena sizes against
+/// untagged nodes. Canonicity is kept by the *canonical then-edge rule*:
+/// a stored node's `hi` edge is never complemented (`mk` renormalizes
+/// and returns a tagged handle instead).
 ///
 /// Nodes live in a flat arena; each variable owns an open-addressing
 /// unique subtable over it (see `unique.rs`), so interning probes one
@@ -82,11 +74,8 @@ pub struct BddManager {
     /// it back.
     pub(crate) allocated: usize,
     pub(crate) ite_cache: HashMap<(Bdd, Bdd, Bdd), Bdd>,
-    pub(crate) not_cache: HashMap<Bdd, Bdd>,
     pub(crate) quant_cache: HashMap<(Bdd, u32, bool), Bdd>,
     pub(crate) compose_cache: HashMap<(Bdd, u32, Bdd), Bdd>,
-    /// Complement-edge mode flag (fixed at construction).
-    pub(crate) ce: bool,
     var_names: Vec<String>,
     /// `var2level[v]` = current order position of variable `v`.
     pub(crate) var2level: Vec<u32>,
@@ -110,19 +99,8 @@ pub struct BddManager {
 }
 
 impl BddManager {
-    /// Creates an empty plain-mode manager with no variables.
+    /// Creates an empty manager with no variables.
     pub fn new() -> Self {
-        Self::with_complement_edges(false)
-    }
-
-    /// Creates an empty complement-edge manager with no variables.
-    pub fn new_ce() -> Self {
-        Self::with_complement_edges(true)
-    }
-
-    /// Creates an empty manager in the requested mode (`true` enables
-    /// complement edges).
-    pub fn with_complement_edges(ce: bool) -> Self {
         BddManager {
             // One terminal at arena index 0: TRUE is the plain handle,
             // FALSE its complement. The payload is a sentinel and never
@@ -141,10 +119,8 @@ impl BddManager {
             peak_arena: 1,
             allocated: 0,
             ite_cache: HashMap::new(),
-            not_cache: HashMap::new(),
             quant_cache: HashMap::new(),
             compose_cache: HashMap::new(),
-            ce,
             var_names: Vec::new(),
             var2level: Vec::new(),
             level2var: Vec::new(),
@@ -155,11 +131,6 @@ impl BddManager {
             #[cfg(feature = "obs")]
             counters: None,
         }
-    }
-
-    /// Whether this manager runs in complement-edge mode.
-    pub fn complement_edges(&self) -> bool {
-        self.ce
     }
 
     /// Declares a fresh variable at the end of the current order.
@@ -265,14 +236,14 @@ impl BddManager {
     }
 
     /// Interns a node, enforcing the no-redundant-test and sharing rules.
-    /// In complement-edge mode a complemented `hi` edge is renormalized
-    /// (both children negated, result handle tagged) so that stored nodes
-    /// always satisfy the canonical then-edge rule.
+    /// A complemented `hi` edge is renormalized (both children negated,
+    /// result handle tagged) so that stored nodes always satisfy the
+    /// canonical then-edge rule.
     pub(crate) fn mk(&mut self, var: u32, lo: Bdd, hi: Bdd) -> Bdd {
         if lo == hi {
             return lo;
         }
-        if self.ce && hi.is_complemented() {
+        if hi.is_complemented() {
             return self.mk_regular(var, lo.negate(), hi.negate()).negate();
         }
         self.mk_regular(var, lo, hi)
@@ -281,7 +252,7 @@ impl BddManager {
     /// [`mk`](Self::mk) after then-edge normalization: interns `(var, lo,
     /// hi)` as stored and returns the plain (untagged) handle.
     fn mk_regular(&mut self, var: u32, lo: Bdd, hi: Bdd) -> Bdd {
-        debug_assert!(!self.ce || !hi.is_complemented(), "hi edge must be regular");
+        debug_assert!(!hi.is_complemented(), "hi edge must be regular");
         self.obs_unique_probe();
         if let Some(slot) = self.unique.get(var, lo, hi, &self.nodes) {
             self.obs_unique_hit();
@@ -433,9 +404,9 @@ impl BddManager {
     ///
     /// Panics if the assignment is shorter than some variable tested in `b`.
     pub fn eval(&self, b: Bdd, assignment: &[bool]) -> bool {
-        // One walk serves both modes: accumulate complement-tag parity on
-        // the way down; the terminal is reached as TRUE once the tag is
-        // stripped, so the answer is the parity itself.
+        // Accumulate complement-tag parity on the way down; the terminal
+        // is reached as TRUE once the tag is stripped, so the answer is
+        // the parity itself.
         let mut cur = b;
         let mut neg = false;
         loop {
@@ -588,10 +559,7 @@ impl BddManager {
 
     /// Total entries across the operation caches (memory pressure gauge).
     pub fn op_cache_len(&self) -> usize {
-        self.ite_cache.len()
-            + self.not_cache.len()
-            + self.quant_cache.len()
-            + self.compose_cache.len()
+        self.ite_cache.len() + self.quant_cache.len() + self.compose_cache.len()
     }
 
     /// Clears all operation caches (unique table is kept, canonicity is
@@ -599,7 +567,6 @@ impl BddManager {
     pub fn clear_op_caches(&mut self) {
         self.obs_gc_run();
         self.ite_cache.clear();
-        self.not_cache.clear();
         self.quant_cache.clear();
         self.compose_cache.clear();
     }
@@ -617,7 +584,6 @@ impl std::fmt::Debug for BddManager {
             .field("vars", &self.var_names.len())
             .field("nodes", &self.node_count())
             .field("free", &self.free.len())
-            .field("ce", &self.ce)
             .finish()
     }
 }
@@ -631,10 +597,6 @@ mod tests {
         let m = BddManager::new();
         assert_eq!(m.node_count(), 1);
         assert_eq!(m.var_count(), 0);
-        let c = BddManager::new_ce();
-        assert_eq!(c.node_count(), 1);
-        assert!(c.complement_edges());
-        assert!(!m.complement_edges());
     }
 
     #[test]
@@ -648,8 +610,8 @@ mod tests {
     }
 
     #[test]
-    fn ce_literals_share_one_node() {
-        let mut m = BddManager::new_ce();
+    fn literals_share_one_node() {
+        let mut m = BddManager::new();
         let x = m.new_var();
         let pos = m.var(x);
         let neg = m.nvar(x);
@@ -671,34 +633,30 @@ mod tests {
 
     #[test]
     fn eval_follows_assignment() {
-        for ce in [false, true] {
-            let mut m = BddManager::with_complement_edges(ce);
-            let x = m.new_var();
-            let y = m.new_var();
-            let (vx, vy) = (m.var(x), m.var(y));
-            let f = m.and(vx, vy);
-            assert!(m.eval(f, &[true, true]));
-            assert!(!m.eval(f, &[true, false]));
-            assert!(!m.eval(f, &[false, true]));
-        }
+        let mut m = BddManager::new();
+        let x = m.new_var();
+        let y = m.new_var();
+        let (vx, vy) = (m.var(x), m.var(y));
+        let f = m.and(vx, vy);
+        assert!(m.eval(f, &[true, true]));
+        assert!(!m.eval(f, &[true, false]));
+        assert!(!m.eval(f, &[false, true]));
     }
 
     #[test]
     fn sat_count_matches_truth_table() {
-        for ce in [false, true] {
-            let mut m = BddManager::with_complement_edges(ce);
-            let x = m.new_var();
-            let y = m.new_var();
-            let z = m.new_var();
-            let (vx, vy, vz) = (m.var(x), m.var(y), m.var(z));
-            let xy = m.and(vx, vy);
-            let f = m.or(xy, vz); // 5 of 8 assignments
-            assert_eq!(m.sat_count(f, 3), 5.0);
-            let nf = m.not(f);
-            assert_eq!(m.sat_count(nf, 3), 3.0);
-            assert_eq!(m.sat_count(Bdd::TRUE, 3), 8.0);
-            assert_eq!(m.sat_count(Bdd::FALSE, 3), 0.0);
-        }
+        let mut m = BddManager::new();
+        let x = m.new_var();
+        let y = m.new_var();
+        let z = m.new_var();
+        let (vx, vy, vz) = (m.var(x), m.var(y), m.var(z));
+        let xy = m.and(vx, vy);
+        let f = m.or(xy, vz); // 5 of 8 assignments
+        assert_eq!(m.sat_count(f, 3), 5.0);
+        let nf = m.not(f);
+        assert_eq!(m.sat_count(nf, 3), 3.0);
+        assert_eq!(m.sat_count(Bdd::TRUE, 3), 8.0);
+        assert_eq!(m.sat_count(Bdd::FALSE, 3), 0.0);
     }
 
     #[test]
@@ -713,20 +671,18 @@ mod tests {
 
     #[test]
     fn support_and_size() {
-        for ce in [false, true] {
-            let mut m = BddManager::with_complement_edges(ce);
-            let x = m.new_var();
-            let y = m.new_var();
-            let z = m.new_var();
-            let (vx, vz) = (m.var(x), m.var(z));
-            let f = m.or(vx, vz);
-            assert_eq!(m.support(f), vec![x, z]);
-            assert!(!m.support(f).contains(&y));
-            assert_eq!(m.size(f), 2);
-            assert_eq!(m.size(Bdd::TRUE), 0);
-            let nf = m.not(f);
-            assert_eq!(m.size(nf), 2, "complement shares the same nodes");
-        }
+        let mut m = BddManager::new();
+        let x = m.new_var();
+        let y = m.new_var();
+        let z = m.new_var();
+        let (vx, vz) = (m.var(x), m.var(z));
+        let f = m.or(vx, vz);
+        assert_eq!(m.support(f), vec![x, z]);
+        assert!(!m.support(f).contains(&y));
+        assert_eq!(m.size(f), 2);
+        assert_eq!(m.size(Bdd::TRUE), 0);
+        let nf = m.not(f);
+        assert_eq!(m.size(nf), 2, "complement shares the same nodes");
     }
 
     #[test]
@@ -742,8 +698,8 @@ mod tests {
     }
 
     #[test]
-    fn ce_root_cofactors_propagate_the_tag() {
-        let mut m = BddManager::new_ce();
+    fn root_cofactors_propagate_the_tag() {
+        let mut m = BddManager::new();
         let x = m.new_var();
         let f = m.var(x);
         let nf = m.not(f);
@@ -773,12 +729,12 @@ mod tests {
     }
 
     #[test]
-    fn ce_live_size_counts_complement_pairs_once() {
+    fn live_size_counts_complement_pairs_once() {
         // A {f, ¬f} pair is one physical node under complement edges. A
         // handle-keyed visited set would count the pair twice (and with it
         // every node reached both plain and complemented); the arena-index
         // bitmap must not.
-        let mut m = BddManager::new_ce();
+        let mut m = BddManager::new();
         let x = m.new_var();
         let y = m.new_var();
         let (vx, vy) = (m.var(x), m.var(y));
@@ -791,14 +747,8 @@ mod tests {
         assert_eq!(m.live_size(&[nf]), plain);
         // xor reaches the y-literal both plain (x̄-branch) and complemented
         // (x-branch): 2 physical nodes, not 3 as a handle-keyed count (or
-        // the legacy no-sharing representation) would report.
+        // an untagged representation) would report.
         assert_eq!(plain, 2);
         assert_eq!(m.size(f), plain);
-        let mut legacy = BddManager::new();
-        let x = legacy.new_var();
-        let y = legacy.new_var();
-        let (vx, vy) = (legacy.var(x), legacy.var(y));
-        let g = legacy.xor(vx, vy);
-        assert_eq!(legacy.live_size(&[g]), 3);
     }
 }

@@ -1,171 +1,37 @@
 //! Boolean operations: negation, ITE, the derived binary connectives,
-//! restriction and quantification.
+//! restriction and quantification. ITE and quantification run the
+//! budgeted recursions of `limit.rs` under an unlimited budget, so each
+//! operation has one implementation.
 
+use crate::limit::{OpAbort, OpBudget};
 use crate::manager::BddManager;
 use crate::node::{Bdd, Var};
 
+/// The budget of the infallible operations: no node cap, no cancel
+/// probe. They share the budgeted recursions in `limit.rs`, which can
+/// then never abort.
+const UNLIMITED: OpBudget<'static> = OpBudget {
+    max_nodes: usize::MAX,
+    cancel: None,
+};
+
+fn unlimited(r: Result<Bdd, OpAbort>) -> Bdd {
+    match r {
+        Ok(f) => f,
+        Err(_) => unreachable!("an operation without a budget cannot abort"),
+    }
+}
+
 impl BddManager {
-    /// Logical negation. A constant-time tag flip under complement
-    /// edges; a memoized recursive rebuild in plain mode.
+    /// Logical negation: a constant-time complement-tag flip.
     pub fn not(&mut self, f: Bdd) -> Bdd {
-        if self.ce {
-            return f.negate();
-        }
-        if f.is_false() {
-            return Bdd::TRUE;
-        }
-        if f.is_true() {
-            return Bdd::FALSE;
-        }
-        if let Some(&r) = self.not_cache.get(&f) {
-            self.obs_cache_hit();
-            return r;
-        }
-        self.obs_cache_miss();
-        let n = self.node(f);
-        let lo = self.not(n.lo);
-        let hi = self.not(n.hi);
-        let r = self.mk(n.var, lo, hi);
-        self.not_cache.insert(f, r);
-        r
+        f.negate()
     }
 
     /// If-then-else: `f·g + f̄·h`. The primitive from which the binary
     /// connectives are derived.
     pub fn ite(&mut self, f: Bdd, g: Bdd, h: Bdd) -> Bdd {
-        if self.ce {
-            return self.ite_ce(f, g, h);
-        }
-        self.obs_ite_call();
-        // Terminal cases.
-        if f.is_true() {
-            return g;
-        }
-        if f.is_false() {
-            return h;
-        }
-        if g == h {
-            return g;
-        }
-        if g.is_true() && h.is_false() {
-            return f;
-        }
-        if g.is_false() && h.is_true() {
-            return self.not(f);
-        }
-        let key = (f, g, h);
-        if let Some(&r) = self.ite_cache.get(&key) {
-            self.obs_cache_hit();
-            return r;
-        }
-        self.obs_cache_miss();
-        // `top` is an order *position*; recursion splits on the variable
-        // currently at that position.
-        let top = self.blevel(f).min(self.blevel(g)).min(self.blevel(h));
-        let top_var = self.level2var[top as usize];
-        let cof = |m: &BddManager, b: Bdd, phase: bool| -> Bdd {
-            if m.blevel(b) != top {
-                b
-            } else {
-                let n = m.node(b);
-                if phase {
-                    n.hi
-                } else {
-                    n.lo
-                }
-            }
-        };
-        let (f0, f1) = (cof(self, f, false), cof(self, f, true));
-        let (g0, g1) = (cof(self, g, false), cof(self, g, true));
-        let (h0, h1) = (cof(self, h, false), cof(self, h, true));
-        let lo = self.ite(f0, g0, h0);
-        let hi = self.ite(f1, g1, h1);
-        let r = self.mk(top_var, lo, hi);
-        self.ite_cache.insert(key, r);
-        r
-    }
-
-    /// [`ite`](Self::ite) under complement edges: the same recursion, but
-    /// with O(1) negation the arguments are first rewritten into a
-    /// canonical form — `f` regular and `g` regular — so a cache entry
-    /// serves the whole 4-element orbit `{ite(f,g,h), ite(¬f,h,g),
-    /// ¬ite(f,¬g,¬h), ¬ite(¬f,¬h,¬g)}`.
-    fn ite_ce(&mut self, f: Bdd, g: Bdd, h: Bdd) -> Bdd {
-        self.obs_ite_call();
-        let (mut g, mut h) = (g, h);
-        // Arguments equal (or complementary) to the selector collapse.
-        if g == f {
-            g = Bdd::TRUE;
-        } else if g == f.negate() {
-            g = Bdd::FALSE;
-        }
-        if h == f {
-            h = Bdd::FALSE;
-        } else if h == f.negate() {
-            h = Bdd::TRUE;
-        }
-        // Terminal cases.
-        if f.is_true() {
-            return g;
-        }
-        if f.is_false() {
-            return h;
-        }
-        if g == h {
-            return g;
-        }
-        if g.is_true() && h.is_false() {
-            return f;
-        }
-        if g.is_false() && h.is_true() {
-            return f.negate();
-        }
-        // Canonicalize: a complemented selector swaps branches; a
-        // complemented then-branch factors the negation out of the result.
-        let mut f = f;
-        if f.is_complemented() {
-            f = f.negate();
-            std::mem::swap(&mut g, &mut h);
-        }
-        let neg_result = g.is_complemented();
-        if neg_result {
-            g = g.negate();
-            h = h.negate();
-        }
-        let key = (f, g, h);
-        if let Some(&r) = self.ite_cache.get(&key) {
-            self.obs_cache_hit();
-            return if neg_result { r.negate() } else { r };
-        }
-        self.obs_cache_miss();
-        let top = self.blevel(f).min(self.blevel(g)).min(self.blevel(h));
-        let top_var = self.level2var[top as usize];
-        // Cofactors of the *function*: the complement tag on an argument
-        // propagates to its children.
-        let cof = |m: &BddManager, b: Bdd, phase: bool| -> Bdd {
-            if m.blevel(b) != top {
-                b
-            } else {
-                let (lo, hi) = m.cofactors(b);
-                if phase {
-                    hi
-                } else {
-                    lo
-                }
-            }
-        };
-        let (f0, f1) = (cof(self, f, false), cof(self, f, true));
-        let (g0, g1) = (cof(self, g, false), cof(self, g, true));
-        let (h0, h1) = (cof(self, h, false), cof(self, h, true));
-        let lo = self.ite_ce(f0, g0, h0);
-        let hi = self.ite_ce(f1, g1, h1);
-        let r = self.mk(top_var, lo, hi);
-        self.ite_cache.insert(key, r);
-        if neg_result {
-            r.negate()
-        } else {
-            r
-        }
+        unlimited(self.try_ite_b(f, g, h, &UNLIMITED))
     }
 
     /// Conjunction.
@@ -239,39 +105,7 @@ impl BddManager {
     }
 
     fn quantify(&mut self, f: Bdd, v: Var, existential: bool) -> Bdd {
-        if f.is_const() {
-            return f;
-        }
-        if f.is_complemented() {
-            // ∃v.¬f = ¬∀v.f (and dually): recurse on the regular handle
-            // so the cache never stores a complemented key.
-            let r = self.quantify(f.negate(), v, !existential);
-            return r.negate();
-        }
-        let n = self.node(f);
-        if self.lvl(n.var) > self.lvl(v.0) {
-            // v does not occur in f (order property).
-            return f;
-        }
-        let key = (f, v.0, existential);
-        if let Some(&r) = self.quant_cache.get(&key) {
-            self.obs_cache_hit();
-            return r;
-        }
-        self.obs_cache_miss();
-        let r = if n.var == v.0 {
-            if existential {
-                self.or(n.lo, n.hi)
-            } else {
-                self.and(n.lo, n.hi)
-            }
-        } else {
-            let lo = self.quantify(n.lo, v, existential);
-            let hi = self.quantify(n.hi, v, existential);
-            self.mk(n.var, lo, hi)
-        };
-        self.quant_cache.insert(key, r);
-        r
+        unlimited(self.try_quantify_b(f, v, existential, &UNLIMITED))
     }
 
     /// Functional composition `f[v := g]`: substitutes the function `g`
@@ -461,8 +295,8 @@ mod tests {
     }
 
     #[test]
-    fn ce_not_is_pointer_involutive_and_free() {
-        let mut m = BddManager::new_ce();
+    fn not_is_pointer_involutive_and_free() {
+        let mut m = BddManager::new();
         let x = m.new_var();
         let y = m.new_var();
         let (vx, vy) = (m.var(x), m.var(y));
@@ -475,8 +309,8 @@ mod tests {
     }
 
     #[test]
-    fn ce_connectives_match_truth_tables() {
-        let mut m = BddManager::new_ce();
+    fn connectives_match_truth_tables_through_tagged_handles() {
+        let mut m = BddManager::new();
         let x = m.new_var();
         let y = m.new_var();
         let z = m.new_var();

@@ -224,7 +224,7 @@ impl BddManager {
             // free: `old.hi` is regular (canonical then-edge rule), so its
             // split keeps `f11` regular, so `mk` never renormalizes `h1`.
             debug_assert!(
-                !self.ce || !h1.is_complemented(),
+                !h1.is_complemented(),
                 "swap must keep the rewritten node's hi edge regular"
             );
             let new = Node {
@@ -625,7 +625,7 @@ mod tests {
         assert_eq!(m.reorder_stats().reorders, 0);
     }
 
-    /// Every stored node in a CE manager must keep its then-edge regular
+    /// Every stored node must keep its then-edge regular
     /// (the canonical-edge rule); a violation would make {f, ¬f} intern as
     /// two distinct nodes and silently break handle equality.
     fn assert_hi_edges_regular(m: &BddManager) {
@@ -641,8 +641,8 @@ mod tests {
     }
 
     #[test]
-    fn ce_swap_and_sift_preserve_semantics_and_canonicity() {
-        let mut m = BddManager::new_ce();
+    fn swap_and_sift_preserve_complement_canonicity() {
+        let mut m = BddManager::new();
         let f = separated_inner_product(&mut m, 4);
         let nf = m.not(f);
         assert_eq!(f.regular(), nf.regular(), "pair must share one node");
@@ -661,20 +661,6 @@ mod tests {
         assert_eq!(truth_table(&m, nf, 8), tn);
     }
 
-    #[test]
-    fn ce_sift_matches_legacy_order_choice() {
-        // Sifting ranks variables by live node count; the complement-pair
-        // sharing must not change which order wins on this symmetric
-        // benchmark, and both modes must land on an interleaved order.
-        let run = |ce: bool| {
-            let mut m = BddManager::with_complement_edges(ce);
-            let f = separated_inner_product(&mut m, 5);
-            m.sift(&[f], 150, usize::MAX);
-            m.current_order()
-        };
-        assert_eq!(run(false), run(true));
-    }
-
     /// Regression for the global-map era: repeated sift cycles used to
     /// leave the unique table (and the arena) at the high-water mark of
     /// the transient churn forever. With per-variable subtables
@@ -683,7 +669,7 @@ mod tests {
     /// a constant factor of its interned entries.
     #[test]
     fn repeated_sift_cycles_keep_subtable_capacity_bounded() {
-        let mut m = BddManager::new_ce();
+        let mut m = BddManager::new();
         m.set_gc_policy(crate::gc::GcPolicy::OnPressure { trigger_nodes: 64 });
         let f = separated_inner_product(&mut m, 6);
         let tt = truth_table(&m, f, 12);

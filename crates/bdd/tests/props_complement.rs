@@ -1,20 +1,21 @@
-//! Seeded property tests: complement edges never change semantics.
+//! Seeded property tests: the complement-edged manager computes the
+//! functions it is asked for.
 //!
 //! Random expression DAGs (xorshift-seeded, no external deps) are built
-//! twice from the same seed — once in a complement-edged manager, once
-//! in a legacy one — and compared by exhaustive 2^n evaluation,
-//! `sat_count` and `support`. On the complement-edged side the handle
-//! algebra itself is checked: negation is a constant-time tag flip that
-//! allocates nothing, double negation is pointer-identical, and
-//! De Morgan-equivalent constructions meet at the same handle (the
-//! canonical then-edge rule at work). Reordering is exercised on the
-//! complement-edged manager to confirm the two features compose.
+//! in a manager and, alongside, as truth tables computed bitwise from
+//! each connective — a referee that shares no code with the BDD
+//! package. Every subfunction is compared by exhaustive 2^n evaluation,
+//! `sat_count` and `support`. The handle algebra itself is checked too:
+//! negation is a constant-time tag flip that allocates nothing, double
+//! negation is pointer-identical, and De Morgan-equivalent constructions
+//! meet at the same handle (the canonical then-edge rule at work).
+//! Reordering is exercised to confirm the two features compose.
 //!
 //! Seeds come from the same fixed table as `props_reorder`; set
 //! `RANDOM_SEED=<u64>` (decimal or `0x`-hex) to add one more. Failures
 //! report the seed and parameters needed to reproduce.
 
-use tbf_bdd::{Bdd, BddManager, Var};
+use tbf_bdd::{Bdd, BddManager};
 
 /// Fixed seed table used by default and in CI's deterministic jobs.
 const SEEDS: [u64; 3] = [0x9e3779b97f4a7c15, 0xdeadbeefcafef00d, 0x0123456789abcdef];
@@ -41,44 +42,49 @@ impl XorShift {
     }
 }
 
-/// One random connective applied to pool members, deterministically
-/// driven by `rng` — callable against any manager so the same seed
-/// replays the same construction in both modes.
-fn random_step(m: &mut BddManager, rng: &mut XorShift, pool: &mut Vec<Bdd>) {
-    let a = pool[rng.below(pool.len())];
-    let b = pool[rng.below(pool.len())];
-    let g = match rng.below(6) {
-        0 => m.and(a, b),
-        1 => m.or(a, b),
-        2 => m.xor(a, b),
-        3 => m.nand(a, b),
-        4 => m.not(a),
-        _ => {
-            let c = pool[rng.below(pool.len())];
-            m.ite(a, b, c)
-        }
-    };
-    pool.push(g);
+/// A truth table: entry `bits` is the value under the assignment whose
+/// bit `i` is variable identity `i`.
+type Table = Vec<bool>;
+
+fn combine(a: &Table, b: &Table, op: impl Fn(bool, bool) -> bool) -> Table {
+    a.iter().zip(b).map(|(&x, &y)| op(x, y)).collect()
 }
 
-/// Builds the same random DAG in `m`, returning every subfunction.
-fn random_dag(
-    m: &mut BddManager,
-    seed: u64,
-    n_vars: usize,
-    n_gates: usize,
-) -> (Vec<Bdd>, Vec<Var>) {
+/// Builds a random DAG in `m`, returning every subfunction together
+/// with its truth table, computed from the connective alone.
+fn random_dag(m: &mut BddManager, seed: u64, n_vars: usize, n_gates: usize) -> Vec<(Bdd, Table)> {
     let mut rng = XorShift::new(seed);
-    let vars: Vec<Var> = (0..n_vars).map(|_| m.new_var()).collect();
-    let mut pool: Vec<Bdd> = vars.iter().map(|&v| m.var(v)).collect();
+    let rows = 1usize << n_vars;
+    let mut pool: Vec<(Bdd, Table)> = (0..n_vars)
+        .map(|i| {
+            let v = m.new_var();
+            (m.var(v), (0..rows).map(|bits| bits >> i & 1 == 1).collect())
+        })
+        .collect();
     for _ in 0..n_gates {
-        random_step(m, &mut rng, &mut pool);
+        let (a, ta) = pool[rng.below(pool.len())].clone();
+        let (b, tb) = pool[rng.below(pool.len())].clone();
+        let step = match rng.below(6) {
+            0 => (m.and(a, b), combine(&ta, &tb, |x, y| x && y)),
+            1 => (m.or(a, b), combine(&ta, &tb, |x, y| x || y)),
+            2 => (m.xor(a, b), combine(&ta, &tb, |x, y| x ^ y)),
+            3 => (m.nand(a, b), combine(&ta, &tb, |x, y| !(x && y))),
+            4 => (m.not(a), ta.iter().map(|&x| !x).collect()),
+            _ => {
+                let (c, tc) = pool[rng.below(pool.len())].clone();
+                let table = (0..rows)
+                    .map(|r| if ta[r] { tb[r] } else { tc[r] })
+                    .collect();
+                (m.ite(a, b, c), table)
+            }
+        };
+        pool.push(step);
     }
-    (pool, vars)
+    pool
 }
 
-/// All 2^n evaluations, assignment bit `i` = variable identity `i`.
-fn truth_table(m: &BddManager, f: Bdd, n_vars: usize) -> Vec<bool> {
+/// All 2^n evaluations of `f`, in [`Table`] order.
+fn truth_table(m: &BddManager, f: Bdd, n_vars: usize) -> Table {
     (0..1usize << n_vars)
         .map(|bits| {
             let a: Vec<bool> = (0..n_vars).map(|i| bits >> i & 1 == 1).collect();
@@ -87,34 +93,44 @@ fn truth_table(m: &BddManager, f: Bdd, n_vars: usize) -> Vec<bool> {
         .collect()
 }
 
+/// The variables a truth table depends on, ascending.
+fn table_support(t: &Table, n_vars: usize) -> Vec<usize> {
+    (0..n_vars)
+        .filter(|&i| (0..t.len()).any(|r| t[r] != t[r ^ (1 << i)]))
+        .collect()
+}
+
 /// One full property case. Returns a failure description on mismatch.
 fn run_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<(), String> {
-    let mut ce = BddManager::new_ce();
-    let mut legacy = BddManager::with_complement_edges(false);
-    let (ce_pool, _) = random_dag(&mut ce, seed, n_vars, n_gates);
-    let (legacy_pool, _) = random_dag(&mut legacy, seed, n_vars, n_gates);
+    let mut m = BddManager::new();
+    let pool = random_dag(&mut m, seed, n_vars, n_gates);
+    let roots: Vec<Bdd> = pool.iter().map(|&(f, _)| f).collect();
 
-    for (i, (&f, &g)) in ce_pool.iter().zip(&legacy_pool).enumerate() {
-        let tt_ce = truth_table(&ce, f, n_vars);
-        if tt_ce != truth_table(&legacy, g, n_vars) {
+    for (i, (f, table)) in pool.iter().enumerate() {
+        let f = *f;
+        let tt = truth_table(&m, f, n_vars);
+        if &tt != table {
             return Err(format!(
-                "subfunction #{i}: CE and legacy truth tables differ"
+                "subfunction #{i}: BDD and connective truth tables differ"
             ));
         }
-        let (sc, sl) = (ce.sat_count(f, n_vars), legacy.sat_count(g, n_vars));
-        if sc != sl {
-            return Err(format!("subfunction #{i}: sat_count {sc} vs legacy {sl}"));
+        let ones = table.iter().filter(|&&x| x).count() as f64;
+        if m.sat_count(f, n_vars) != ones {
+            return Err(format!(
+                "subfunction #{i}: sat_count {} vs {ones} true rows",
+                m.sat_count(f, n_vars)
+            ));
         }
-        if ce.support(f) != legacy.support(g) {
+        let support: Vec<usize> = m.support(f).iter().map(|v| v.index()).collect();
+        if support != table_support(table, n_vars) {
             return Err(format!("subfunction #{i}: support differs"));
         }
 
-        // Handle algebra on the complement-edged side: ¬ is a tag flip
-        // on the same arena node, so it allocates nothing and ¬¬f is
-        // pointer-identical to f.
-        let before = ce.node_count();
-        let nf = ce.not(f);
-        if ce.node_count() != before {
+        // Handle algebra: ¬ is a tag flip on the same arena node, so it
+        // allocates nothing and ¬¬f is pointer-identical to f.
+        let before = m.node_count();
+        let nf = m.not(f);
+        if m.node_count() != before {
             return Err(format!("subfunction #{i}: negation allocated nodes"));
         }
         if nf == f || nf.index() != f.index() {
@@ -122,13 +138,13 @@ fn run_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<(), String> {
                 "subfunction #{i}: ¬f must be the complement tag on f's node ({nf:?} vs {f:?})"
             ));
         }
-        if ce.not(nf) != f {
+        if m.not(nf) != f {
             return Err(format!("subfunction #{i}: ¬¬f is not pointer-equal to f"));
         }
         // Negation must also be semantically the complement.
-        if truth_table(&ce, nf, n_vars)
+        if truth_table(&m, nf, n_vars)
             .iter()
-            .zip(&tt_ce)
+            .zip(table)
             .any(|(a, b)| a == b)
         {
             return Err(format!("subfunction #{i}: ¬f agrees with f somewhere"));
@@ -139,37 +155,29 @@ fn run_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<(), String> {
     // the same handle (this is what the canonical then-edge rule buys).
     let mut rng = XorShift::new(seed ^ 0x5ca1ab1e);
     for round in 0..8 {
-        let a = ce_pool[rng.below(ce_pool.len())];
-        let b = ce_pool[rng.below(ce_pool.len())];
-        let via_nand = ce.nand(a, b);
-        let (na, nb) = (ce.not(a), ce.not(b));
-        let via_or = ce.or(na, nb);
+        let a = roots[rng.below(roots.len())];
+        let b = roots[rng.below(roots.len())];
+        let via_nand = m.nand(a, b);
+        let (na, nb) = (m.not(a), m.not(b));
+        let via_or = m.or(na, nb);
         if via_nand != via_or {
             return Err(format!(
                 "round {round}: ¬(a∧b) and ¬a∨¬b built distinct handles"
             ));
         }
-        let and_back = ce.and(a, b);
-        if ce.not(via_nand) != and_back {
+        let and_back = m.and(a, b);
+        if m.not(via_nand) != and_back {
             return Err(format!("round {round}: ¬¬(a∧b) differs from a∧b"));
         }
     }
 
-    // Complement edges must never be the larger representation.
-    let (ce_live, legacy_live) = (ce.live_size(&ce_pool), legacy.live_size(&legacy_pool));
-    if ce_live > legacy_live {
-        return Err(format!(
-            "CE live size {ce_live} exceeds legacy {legacy_live}"
-        ));
-    }
-
     // Reordering composes with complement edges: a sift preserves every
     // subfunction's semantics.
-    let last = *ce_pool.last().expect("pool is non-empty");
-    let tt = truth_table(&ce, last, n_vars);
-    ce.sift(&ce_pool, 150, usize::MAX);
-    if truth_table(&ce, last, n_vars) != tt {
-        return Err("sift changed a CE-managed function".into());
+    m.sift(&roots, 150, usize::MAX);
+    for (i, (f, table)) in pool.iter().enumerate() {
+        if &truth_table(&m, *f, n_vars) != table {
+            return Err(format!("subfunction #{i}: sift changed its function"));
+        }
     }
     Ok(())
 }
@@ -239,14 +247,12 @@ fn complement_edges_preserve_semantics_on_random_dags() {
 }
 
 #[test]
-fn constants_are_a_tagged_pair_in_both_modes() {
-    for ce in [true, false] {
-        let mut m = BddManager::with_complement_edges(ce);
-        let t = m.constant(true);
-        let f = m.constant(false);
-        assert_eq!(t, Bdd::TRUE);
-        assert_eq!(f, Bdd::FALSE);
-        assert_eq!(m.not(t), f, "ce={ce}");
-        assert_eq!(m.not(f), t, "ce={ce}");
-    }
+fn constants_are_a_tagged_pair() {
+    let mut m = BddManager::new();
+    let t = m.constant(true);
+    let f = m.constant(false);
+    assert_eq!(t, Bdd::TRUE);
+    assert_eq!(f, Bdd::FALSE);
+    assert_eq!(m.not(t), f);
+    assert_eq!(m.not(f), t);
 }

@@ -8,8 +8,7 @@
 //! across a sweep, so the comparison is direct). Further cases compose
 //! GC with sifting, adjacent swaps, and random permutations under a low
 //! pressure trigger, and verify a sweep never frees a node reachable
-//! from a live handle. Everything runs in both plain and
-//! complement-edged managers.
+//! from a live handle.
 //!
 //! Seeds come from a fixed table; set `RANDOM_SEED=<u64>` (decimal or
 //! `0x`-hex) to add one more. A failing case is shrunk (fewer gates,
@@ -171,9 +170,9 @@ fn check_roots(
 /// One sweep-focused property case: abandon a random subset of the
 /// pool, sweep, and require the live remainder untouched, the arena
 /// right-sized, and the manager fully usable afterwards.
-fn run_sweep_case(seed: u64, n_vars: usize, n_gates: usize, ce: bool) -> Result<(), String> {
+fn run_sweep_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<(), String> {
     let mut rng = XorShift::new(seed);
-    let mut m = BddManager::with_complement_edges(ce);
+    let mut m = BddManager::new();
     let (pool, _) = random_dag(&mut m, &mut rng, n_vars, n_gates);
 
     // Keep a random ~half of the pool live; the rest becomes garbage.
@@ -232,7 +231,7 @@ fn run_sweep_case(seed: u64, n_vars: usize, n_gates: usize, ce: bool) -> Result<
     // Never-frees-reachable, degenerate direction: rooting *everything*
     // must preserve every pool function (only op-cache intermediates and
     // constructed-then-superseded nodes may go).
-    let mut m2 = BddManager::with_complement_edges(ce);
+    let mut m2 = BddManager::new();
     let mut rng2 = XorShift::new(seed);
     let (pool2, _) = random_dag(&mut m2, &mut rng2, n_vars, n_gates);
     let snaps2 = snapshot(&m2, &pool2, n_vars);
@@ -248,9 +247,9 @@ fn run_sweep_case(seed: u64, n_vars: usize, n_gates: usize, ce: bool) -> Result<
 /// One reorder-composition case: with a low pressure trigger, pressure
 /// sweeps fire *inside* sifting and between explicit reorder rounds, and
 /// none of it may disturb the live root.
-fn run_reorder_case(seed: u64, n_vars: usize, n_gates: usize, ce: bool) -> Result<(), String> {
+fn run_reorder_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<(), String> {
     let mut rng = XorShift::new(seed);
-    let mut m = BddManager::with_complement_edges(ce);
+    let mut m = BddManager::new();
     m.set_gc_policy(GcPolicy::OnPressure { trigger_nodes: 24 });
     let (pool, vars) = random_dag(&mut m, &mut rng, n_vars, n_gates);
     let f = *pool.last().expect("pool starts non-empty");
@@ -284,13 +283,8 @@ fn run_reorder_case(seed: u64, n_vars: usize, n_gates: usize, ce: bool) -> Resul
 }
 
 fn run_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<(), String> {
-    for ce in [false, true] {
-        run_sweep_case(seed, n_vars, n_gates, ce)
-            .map_err(|e| format!("{e} (complement_edges={ce})"))?;
-        run_reorder_case(seed, n_vars, n_gates, ce)
-            .map_err(|e| format!("{e} (complement_edges={ce})"))?;
-    }
-    Ok(())
+    run_sweep_case(seed, n_vars, n_gates)?;
+    run_reorder_case(seed, n_vars, n_gates)
 }
 
 /// Shrinks a failing case: halve the gate count while it still fails,

@@ -2,10 +2,10 @@
 //! front end (PR 9).
 //!
 //! Sweeps every circuit of the committed corpus under `benchmarks/`
-//! through the exact anytime engine across a threads × reorder ×
-//! complement-edges × gc configuration matrix, asserts that every
-//! output resolves **exactly** and that the per-output delays are
-//! identical in every configuration, and writes the schema-versioned
+//! through the exact anytime engine across a threads × reorder
+//! configuration matrix, asserts that every output resolves **exactly**
+//! and that the per-output delays are identical in every configuration,
+//! and writes the schema-versioned
 //! `BENCH_corpus.json` artifact: per-circuit exact delays (machine
 //! independent, diffed against the committed baseline by CI) plus
 //! per-configuration wall times and memory telemetry — peak arena
@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use tbf_core::{analyze, AnalysisPolicy, CircuitReport, DelayOptions, GcMode, ReorderPolicy};
+use tbf_core::{analyze, AnalysisPolicy, CircuitReport, DelayOptions, ReorderPolicy};
 use tbf_logic::generators::adders::{carry_bypass, carry_select, paper_bypass_adder, ripple_carry};
 use tbf_logic::generators::datapath::{barrel_shifter, decoder};
 use tbf_logic::generators::random::random_dag;
@@ -54,10 +54,11 @@ use tbf_obs::json::Value;
 
 /// Artifact schema name; bump [`SCHEMA_VERSION`] on shape changes.
 const SCHEMA: &str = "tbf-bench-corpus";
-/// Current artifact schema version. Version 2 added the gc matrix axis
-/// and the per-configuration memory columns (`peak_arena_nodes`,
-/// `arena_bytes`, `gc_sweeps`, `gc_reclaimed`).
-const SCHEMA_VERSION: u64 = 2;
+/// Current artifact schema version. Version 2 added the per-configuration
+/// memory columns (`peak_arena_nodes`, `arena_bytes`, `gc_sweeps`,
+/// `gc_reclaimed`); version 3 dropped the complement-edge and gc axes,
+/// which are no longer options.
+const SCHEMA_VERSION: u64 = 3;
 
 /// The `--reorder pressure` trigger used by the pressure column
 /// (mirrors the `tbf` CLI constants).
@@ -133,23 +134,16 @@ fn corpus() -> Vec<Entry> {
 }
 
 /// The measured configurations, in artifact column order: one axis at
-/// a time off the `t1/off/ce/nogc` baseline, per the determinism
-/// contract (threads, reorder, complement edges, and arena GC are
-/// representation-only). The two gc columns are the memory-evidence
-/// pair: against their gc-off twins they show peak arena nodes
-/// strictly lower wherever the build (or transient sift garbage)
-/// crosses the pressure trigger, at byte-identical delays.
-const CONFIGS: [(&str, usize, bool, bool, bool); 6] = [
-    // (column, threads, pressure-reorder?, complement edges?, gc?)
-    ("t1_off_ce", 1, false, true, false),
-    ("t4_off_ce", 4, false, true, false),
-    ("t1_pressure_ce", 1, true, true, false),
-    ("t1_off_plain", 1, false, false, false),
-    ("t1_off_ce_gc", 1, false, true, true),
-    ("t1_pressure_ce_gc", 1, true, true, true),
+/// a time off the `t1_off` baseline, per the determinism contract
+/// (threads and reorder are representation-only).
+const CONFIGS: [(&str, usize, bool); 3] = [
+    // (column, threads, pressure-reorder?)
+    ("t1_off", 1, false),
+    ("t4_off", 4, false),
+    ("t1_pressure", 1, true),
 ];
 
-fn policy(threads: usize, pressure: bool, complement_edges: bool, gc: bool) -> AnalysisPolicy {
+fn policy(threads: usize, pressure: bool) -> AnalysisPolicy {
     let options = DelayOptions {
         reorder: if pressure {
             ReorderPolicy::OnPressure {
@@ -159,8 +153,6 @@ fn policy(threads: usize, pressure: bool, complement_edges: bool, gc: bool) -> A
         } else {
             ReorderPolicy::None
         },
-        complement_edges,
-        gc: if gc { GcMode::On } else { GcMode::Off },
         ..DelayOptions::default()
     };
     AnalysisPolicy::with_options(options).with_threads(threads)
@@ -196,8 +188,8 @@ fn measure_row(entry: &Entry, reps: u32) -> Result<Value, String> {
     // init, not the engine).
     for rep in 0..reps.max(1) {
         reports.clear();
-        for (i, (_, threads, pressure, ce, gc)) in CONFIGS.iter().enumerate() {
-            let p = policy(*threads, *pressure, *ce, *gc);
+        for (i, (_, threads, pressure)) in CONFIGS.iter().enumerate() {
+            let p = policy(*threads, *pressure);
             let start = Instant::now();
             let report = analyze(netlist, &p);
             if rep > 0 || reps == 1 {
@@ -390,7 +382,7 @@ fn run() -> Result<(), String> {
     }
     let configs = CONFIGS
         .iter()
-        .map(|(name, threads, pressure, ce, gc)| {
+        .map(|(name, threads, pressure)| {
             Value::Obj(vec![
                 ("name".to_owned(), Value::str(*name)),
                 ("threads".to_owned(), Value::u64(*threads as u64)),
@@ -398,8 +390,6 @@ fn run() -> Result<(), String> {
                     "reorder".to_owned(),
                     Value::str(if *pressure { "pressure" } else { "off" }),
                 ),
-                ("complement_edges".to_owned(), Value::Bool(*ce)),
-                ("gc".to_owned(), Value::Bool(*gc)),
             ])
         })
         .collect();

@@ -29,17 +29,6 @@
 //!   --replay               simulate the 2-vector witness and report the
 //!                          observed last transition
 //!   --per-output           print the per-output breakdown
-//!   --tbf-cache <C>        auto | on | off: cross-breakpoint timed-node
-//!                          caching. `auto` bypasses the cache for tiny
-//!                          cones; results are identical in every mode
-//!                                                             [default: auto]
-//!   --no-complement-edges  build plain-node BDDs instead of the default
-//!                          complement-edged managers (differential
-//!                          testing; results are identical either way)
-//!   --gc <G>               auto | on | off: mark-and-sweep arena garbage
-//!                          collection under pressure. Memory-only knob —
-//!                          results are identical in every mode
-//!                                                             [default: auto]
 //!   --emit-metrics <PATH>  write the machine-readable run artifact (JSON)
 //!                          to PATH; `-` streams it to stdout and implies
 //!                          --quiet plus suppression of the human report
@@ -67,7 +56,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use tbf_core::{
     analyze, floating_delay, sequences_delay, topological_delay, two_vector_delay, AnalysisPolicy,
-    CircuitReport, DelayOptions, DelayReport, GcMode, OutputStatus, ReorderPolicy, TbfCacheMode,
+    CircuitReport, DelayOptions, DelayReport, OutputStatus, ReorderPolicy,
 };
 use tbf_logic::parsers::{mcnc_like_delays, unit_delays};
 use tbf_logic::{DelayBounds, Format, Netlist};
@@ -102,9 +91,6 @@ struct Args {
     reorder: ReorderPolicy,
     replay: bool,
     per_output: bool,
-    tbf_cache: TbfCacheMode,
-    complement_edges: bool,
-    gc: GcMode,
     emit_metrics: Option<String>,
     quiet: bool,
 }
@@ -131,9 +117,6 @@ fn parse_args() -> Result<Args, String> {
         reorder: ReorderPolicy::None,
         replay: false,
         per_output: false,
-        tbf_cache: TbfCacheMode::Auto,
-        complement_edges: true,
-        gc: GcMode::Auto,
         emit_metrics: None,
         quiet: false,
     };
@@ -200,17 +183,6 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--replay" => args.replay = true,
-            "--tbf-cache" => {
-                let v = value("--tbf-cache")?;
-                args.tbf_cache = TbfCacheMode::parse(&v)
-                    .ok_or_else(|| format!("--tbf-cache must be auto, on or off, got `{v}`"))?;
-            }
-            "--no-complement-edges" => args.complement_edges = false,
-            "--gc" => {
-                let v = value("--gc")?;
-                args.gc = GcMode::parse(&v)
-                    .ok_or_else(|| format!("--gc must be auto, on or off, got `{v}`"))?;
-            }
             "--per-output" => args.per_output = true,
             "--emit-metrics" => args.emit_metrics = Some(value("--emit-metrics")?),
             "--quiet" => args.quiet = true,
@@ -239,9 +211,7 @@ fn usage() {
          [--model two-vector|sequences|floating|anytime|all] \
          [--delays unit|mcnc] [--dmin-ratio F] [--max-paths N] [--max-bdd N] \
          [--time-budget MS] [--threads N] [--reorder off|manual|pressure] \
-         [--replay] [--per-output] [--tbf-cache auto|on|off] \
-         [--no-complement-edges] [--gc auto|on|off] \
-         [--emit-metrics PATH|-] [--quiet] \
+         [--replay] [--per-output] [--emit-metrics PATH|-] [--quiet] \
          <netlist.bench|.blif|.aag|.aig|.v>"
     );
 }
@@ -433,12 +403,6 @@ fn policy_value(args: &Args, options: &DelayOptions) -> Value {
         ("delays".to_owned(), Value::str(&args.delays)),
         ("threads".to_owned(), Value::u64(args.threads as u64)),
         ("reorder".to_owned(), Value::str(reorder)),
-        ("tbf_cache".to_owned(), Value::str(options.tbf_cache.name())),
-        (
-            "complement_edges".to_owned(),
-            Value::Bool(options.complement_edges),
-        ),
-        ("gc".to_owned(), Value::str(options.gc.name())),
         (
             "max_straddling_paths".to_owned(),
             Value::u64(options.max_straddling_paths as u64),
@@ -724,9 +688,6 @@ fn main() -> ExitCode {
         options.time_budget = Some(std::time::Duration::from_millis(ms));
     }
     options.reorder = args.reorder;
-    options.tbf_cache = args.tbf_cache;
-    options.complement_edges = args.complement_edges;
-    options.gc = args.gc;
 
     say!(
         "{}: {} gates, {} inputs, {} outputs",

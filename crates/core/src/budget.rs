@@ -105,9 +105,6 @@ pub struct AnalysisBudget {
     polls: AtomicU64,
     tripped: AtomicU8,
     reorder: tbf_bdd::ReorderPolicy,
-    tbf_cache: crate::options::TbfCacheMode,
-    complement_edges: bool,
-    gc: crate::options::GcMode,
     /// The observed run's shared counter registry. Forks clone the
     /// `Arc`, so every cone on every worker reports into one registry;
     /// u64 sums are commutative and the per-cone work is deterministic,
@@ -134,9 +131,6 @@ impl AnalysisBudget {
             polls: AtomicU64::new(0),
             tripped: AtomicU8::new(TRIP_NONE),
             reorder: options.reorder,
-            tbf_cache: options.tbf_cache,
-            complement_edges: options.complement_edges,
-            gc: options.gc,
             #[cfg(feature = "obs")]
             counters: crate::obs::session_counters().unwrap_or_else(tbf_obs::Counters::shared),
         }
@@ -180,9 +174,6 @@ impl AnalysisBudget {
             polls: AtomicU64::new(0),
             tripped: AtomicU8::new(TRIP_NONE),
             reorder: options.reorder,
-            tbf_cache: options.tbf_cache,
-            complement_edges: options.complement_edges,
-            gc: options.gc,
             #[cfg(feature = "obs")]
             counters: Arc::clone(&self.counters),
         }
@@ -222,9 +213,6 @@ impl AnalysisBudget {
             polls: AtomicU64::new(0),
             tripped: AtomicU8::new(TRIP_NONE),
             reorder: options.reorder,
-            tbf_cache: options.tbf_cache,
-            complement_edges: options.complement_edges,
-            gc: options.gc,
             #[cfg(feature = "obs")]
             counters: crate::obs::session_counters().unwrap_or_else(|| Arc::clone(&self.counters)),
         }
@@ -303,23 +291,6 @@ impl AnalysisBudget {
     /// The configured variable-reordering policy.
     pub fn reorder(&self) -> tbf_bdd::ReorderPolicy {
         self.reorder
-    }
-
-    /// The engine's cross-breakpoint timed-node caching policy.
-    pub fn tbf_cache_mode(&self) -> crate::options::TbfCacheMode {
-        self.tbf_cache
-    }
-
-    /// Whether BDD managers built under this budget use complement
-    /// edges.
-    pub fn complement_edges(&self) -> bool {
-        self.complement_edges
-    }
-
-    /// The arena garbage-collection mode for managers built under this
-    /// budget.
-    pub fn gc_mode(&self) -> crate::options::GcMode {
-        self.gc
     }
 
     fn trip(&self, cause: Interrupt) {

@@ -444,9 +444,9 @@ struct StoredCone {
     /// outcomes are never retained: they depend on caps and deadlines,
     /// not just the slice.
     result: Option<StoredResult>,
-    /// The compiled engine (manager, statics, interner, [`TbfCache`](crate::tbf::TbfCache)),
-    /// handed to a later *volatile* recompute of the same slice so it
-    /// starts from a warm cache instead of an empty manager.
+    /// The compiled engine (manager, statics, interner, breakpoint
+    /// sweeps), handed to a later *volatile* recompute of the same slice
+    /// so it starts from a warm manager instead of an empty one.
     engine: Option<ConeContext>,
     /// LRU stamp ([`ConeStore::epoch`] at last use).
     touched: u64,

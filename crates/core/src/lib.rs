@@ -87,7 +87,7 @@ pub use driver::{
     ConeStore, EcoStats,
 };
 pub use error::DelayError;
-pub use options::{DelayOptions, GcMode, TbfCacheMode};
+pub use options::DelayOptions;
 pub use report::{DegradeCause, DelayReport, DelayWitness, OutputDelay, OutputStatus, SearchStats};
 pub use sequences::{floating_delay, sequences_delay};
 pub use tbf::TbfExpr;

@@ -2,8 +2,8 @@
 //!
 //! Every exact delay model in the paper's taxonomy follows the same
 //! computation shape (§7.3, §9.4): compile the cone once (a
-//! [`ConeContext`] holds the BDD manager, statics, interned timed
-//! variables and the cross-breakpoint instantiation cache), then sweep
+//! [`ConeContext`] holds the BDD manager, statics and interned timed
+//! variables), then sweep
 //! the distinct maximum path lengths `{Kᵢᵐᵃˣ}` downward, testing at
 //! each query point `t = b⁻` whether the timed function still differs
 //! from the settled function. What varies between models is only *how*
@@ -62,9 +62,8 @@ pub(crate) trait DelayModel {
     }
 
     /// Tests the interval `(window_lo, b]`: builds the model's timed
-    /// function at `t = b⁻` through the context (hitting its
-    /// cross-breakpoint cache) and decides whether the last output
-    /// transition can fall inside the interval.
+    /// function at `t = b⁻` through the context and decides whether the
+    /// last output transition can fall inside the interval.
     fn test_at(
         &mut self,
         cx: &mut ConeContext,

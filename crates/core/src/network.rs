@@ -52,7 +52,9 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use tbf_bdd::{Bdd, BddManager, GcStats, OpAbort, OpBudget, ReorderPolicy, ReorderStats, Var};
+use tbf_bdd::{
+    Bdd, BddManager, GcPolicy, GcStats, OpAbort, OpBudget, ReorderPolicy, ReorderStats, Var,
+};
 use tbf_logic::paths::BreakpointSweep;
 use tbf_logic::{Netlist, NodeId, Time};
 
@@ -60,9 +62,7 @@ use crate::budget::AnalysisBudget;
 use crate::error::DelayError;
 use crate::fault::{self, Site};
 use crate::static_fn::{build_statics, gate_bdd};
-use crate::tbf::{
-    cone_scope_tag, SuffixTracker, TbfCache, TimedTable, TimedVarId, TimedVarKey, SUPPORT_CAP,
-};
+use crate::tbf::{SuffixTracker, TimedTable, TimedVarId, TimedVarKey};
 
 /// Abort reasons local to the network build; the engines attach bounds
 /// and convert to [`DelayError`](crate::DelayError).
@@ -154,6 +154,12 @@ fn dfs_input_order(netlist: &Netlist) -> Vec<usize> {
 /// memoization.
 const MAX_BUILD_CALLS: usize = 5_000_000;
 
+/// Arena slots at which an engine manager's first garbage-collection
+/// sweep fires; the manager re-arms above the surviving population after
+/// each sweep. Whether a sweep fires depends only on logical quantities,
+/// so reports are the same whatever it reclaims.
+const GC_TRIGGER_NODES: usize = 16_384;
+
 /// Growth tolerance (percent of the starting live size) for the sifting
 /// passes the engine runs itself — one-shot sifts at safe points, where a
 /// moderately adventurous search pays off.
@@ -166,18 +172,6 @@ enum Mode {
     TwoVector,
     /// ω⁻: unsettled leaves (`b ≤ smax`) get fresh variables.
     Sequences,
-}
-
-impl Mode {
-    /// Stable index used to scope the timed-node cache per mode (the
-    /// same k-function binds a resolvent in one mode and a fresh
-    /// variable in the other).
-    fn idx(self) -> u8 {
-        match self {
-            Mode::TwoVector => 0,
-            Mode::Sequences => 1,
-        }
-    }
 }
 
 /// Per-netlist arrival data shared by all queries.
@@ -206,10 +200,10 @@ pub(crate) struct QueryOut {
 }
 
 /// Per-cone compilation context: one netlist compiled **once** into a
-/// manager with statics, variable slots, the interned timed-variable
-/// table and the cross-breakpoint instantiation cache — everything the
-/// pluggable [`DelayModel`](crate::model::DelayModel) strategies share
-/// while sweeping breakpoints.
+/// manager with statics, variable slots and the interned timed-variable
+/// table — everything the pluggable
+/// [`DelayModel`](crate::model::DelayModel) strategies share while
+/// sweeping breakpoints.
 pub(crate) struct ConeContext {
     /// Shared ownership of the cone netlist: an engine retained across
     /// requests (the serve workspace) must not borrow from a request
@@ -245,12 +239,10 @@ pub(crate) struct ConeContext {
     memo_useful: bool,
     /// Interner for k-functions: leaf and interior suffix identities.
     table: TimedTable,
-    /// Cross-breakpoint timed-node cache over the interned identities.
-    tbf_cache: TbfCache,
-    /// Whether this cone keeps cross-breakpoint entries, resolved once
-    /// from the budget's [`TbfCacheMode`](crate::TbfCacheMode) and the
-    /// cone's gate count (`Auto` bypasses tiny cones).
-    use_tbf_cache: bool,
+    /// One build's memo of interior sub-BDDs, keyed by gate and interned
+    /// k-function (see [`build`](Self::build)). Kept here only so its
+    /// allocation is reused; every build starts by clearing it.
+    memo: HashMap<(NodeId, TimedVarId), Bdd>,
     /// Memoized descending breakpoint sweeps, one per queried output.
     sweeps: HashMap<NodeId, BreakpointSweep>,
 }
@@ -260,17 +252,6 @@ impl ConeContext {
         netlist: Arc<Netlist>,
         budget: Arc<AnalysisBudget>,
     ) -> Result<ConeContext, BuildAbort> {
-        let gate_count = netlist
-            .nodes()
-            .filter(|(_, n)| !n.kind().is_input() && !n.kind().is_constant())
-            .count();
-        let use_tbf_cache = budget.tbf_cache_mode().enabled_for(gate_count);
-        // The cache's cone scope: entries are served only to the cone
-        // (structural signature) that built them, so an engine-cache
-        // pair that outlives one netlist can never leak a stale BDD
-        // handle into the next (see `stale_binding_cannot_survive_a_
-        // cone_switch` in `tbf.rs`).
-        let scope = cone_scope_tag(&netlist.structural_signature());
         let memo_useful = netlist.nodes().any(|(_, n)| {
             !n.kind().is_input() && !n.kind().is_constant() && !n.delay().is_variable()
         });
@@ -293,11 +274,9 @@ impl ConeContext {
             carried_arena_bytes: 0,
             memo_useful,
             table: TimedTable::default(),
-            tbf_cache: TbfCache::default(),
-            use_tbf_cache,
+            memo: HashMap::new(),
             sweeps: HashMap::new(),
         };
-        engine.tbf_cache.set_cone(scope);
         engine.layout()?;
         Ok(engine)
     }
@@ -316,11 +295,6 @@ impl ConeContext {
     /// counters are re-routed to the new budget's registry too.
     pub fn rebind_budget(&mut self, budget: Arc<AnalysisBudget>) {
         self.budget = budget;
-        // The GC knob rides the budget: a retained engine re-reads it so
-        // a gc-off request on a warm engine really runs without sweeps
-        // (the service also keys engine reuse on the knob, but the
-        // manager must agree with whatever budget it is serving).
-        self.manager.set_gc_policy(self.budget.gc_mode().policy());
         #[cfg(feature = "obs")]
         self.manager
             .set_counters(Arc::clone(self.budget.counters()));
@@ -359,7 +333,7 @@ impl ConeContext {
         self.carried_peak_arena = self.carried_peak_arena.max(self.manager.peak_arena());
         self.carried_arena_bytes = self.carried_arena_bytes.max(self.manager.arena_bytes());
         let n_inputs = self.netlist.inputs().len();
-        let mut manager = BddManager::with_complement_edges(self.budget.complement_edges());
+        let mut manager = BddManager::new();
         // Route the manager's hot-path counters into the analysis-wide
         // registry carried by the budget, so BDD effort shows up in the
         // same place whatever thread builds this engine.
@@ -392,7 +366,9 @@ impl ConeContext {
         }
         let policy = self.budget.reorder();
         manager.set_reorder_policy(policy);
-        manager.set_gc_policy(self.budget.gc_mode().policy());
+        manager.set_gc_policy(GcPolicy::OnPressure {
+            trigger_nodes: GC_TRIGGER_NODES,
+        });
         let unwrap_var = |v: &Option<Var>| v.expect("input_order is a permutation of inputs");
         let after_leaf: Vec<Bdd> = after_var
             .iter()
@@ -429,10 +405,6 @@ impl ConeContext {
         self.static_after = static_after;
         self.static_before = static_before;
         self.input_vars = input_vars;
-        // The old manager's handles just died with it; cached
-        // instantiations and leaf bindings die too (the interner's ids
-        // stay valid — they name k-functions, not nodes).
-        self.tbf_cache.clear();
         Ok(())
     }
 
@@ -443,17 +415,13 @@ impl ConeContext {
         roots
     }
 
-    /// Every handle the engine holds: the survival set for an arena
-    /// sweep at an engine-level safe point. Statics, both leaf-literal
-    /// vectors, and everything the cross-breakpoint cache references
-    /// (entries and leaf bindings) — the cache stays coherent across
-    /// sweeps because its whole reachable set is rooted, not because it
-    /// is rebuilt.
+    /// Every handle the engine holds between queries: the survival set
+    /// for an arena sweep at an engine-level safe point. Statics and both
+    /// leaf-literal vectors.
     fn gc_roots(&self) -> Vec<Bdd> {
         let mut roots = Self::static_roots(&self.static_after, &self.static_before);
         roots.extend_from_slice(&self.after_leaf);
         roots.extend_from_slice(&self.before_leaf);
-        self.tbf_cache.roots(&mut roots);
         roots
     }
 
@@ -499,23 +467,9 @@ impl ConeContext {
     /// never trigger it.
     pub fn maybe_compact(&mut self) -> Result<(), BuildAbort> {
         const HEADROOM: usize = 2_000_000;
-        // Staleness sweep on the timed-node cache: entries not rebuilt
-        // within this many queries are almost never hit again, and a
-        // long-lived engine (service mode) must not grow its cache
-        // without bound. Epoch-based, so the sweep is identical at every
-        // thread count and reorder policy.
-        const TBF_CACHE_MAX_AGE: u64 = 1024;
-        let evicted = self.tbf_cache.evict_stale(TBF_CACHE_MAX_AGE);
-        #[cfg(feature = "obs")]
-        self.budget
-            .counters()
-            .add(tbf_obs::Metric::TbfCacheEvictions, evicted as u64);
-        #[cfg(not(feature = "obs"))]
-        let _ = evicted;
-        // In-place reclamation first (stale cache entries just left the
-        // root set, so their sub-DAGs are collectable): under a GC
-        // policy this usually makes the wholesale layout rebuild below
-        // unnecessary.
+        // In-place reclamation first: the past queries' BDDs are
+        // unreachable from the engine's roots, and a sweep usually makes
+        // the wholesale layout rebuild below unnecessary.
         if self.manager.gc_pending() {
             let roots = self.gc_roots();
             self.manager.maybe_gc(&roots);
@@ -700,7 +654,6 @@ impl ConeContext {
                 gates: gates.clone(),
             })
             .collect();
-        self.tbf_cache.begin_query();
         let mut leaf_of_key: HashMap<TimedVarId, Bdd> = HashMap::with_capacity(entries.len());
         for (key, _) in &entries {
             let id = self.table.intern(key);
@@ -708,7 +661,6 @@ impl ConeContext {
             let after = self.after_leaf[key.input_pos];
             let before = self.before_leaf[key.input_pos];
             let leaf = self.manager.ite(s, after, before);
-            self.tbf_cache.bind(Mode::TwoVector.idx(), id, leaf);
             leaf_of_key.insert(id, leaf);
         }
         let f = self.build(output, b, Mode::TwoVector, leaf_of_key)?;
@@ -722,12 +674,10 @@ impl ConeContext {
     pub fn sequences_query(&mut self, output: NodeId, b: Time) -> Result<Bdd, BuildAbort> {
         let entries = self.collect_keys(output, b, Mode::Sequences)?;
         let vars = self.assign_slots(&entries)?;
-        self.tbf_cache.begin_query();
         let mut leaf_of_key: HashMap<TimedVarId, Bdd> = HashMap::with_capacity(entries.len());
         for (key, _) in &entries {
             let id = self.table.intern(key);
             let leaf = self.manager.var(vars[key]);
-            self.tbf_cache.bind(Mode::Sequences.idx(), id, leaf);
             leaf_of_key.insert(id, leaf);
         }
         self.build(output, b, Mode::Sequences, leaf_of_key)
@@ -735,14 +685,11 @@ impl ConeContext {
 
     /// Pass 2: the BDD-building recursion, shared between the two modes.
     ///
-    /// Each recursion step returns its BDD *plus* the validity window
-    /// `(lo, hi]` of breakpoints over which every collapse decision in
-    /// the subtree is unchanged, and the set of leaf timed variables the
-    /// result reads. Interior results are stored in the cross-breakpoint
-    /// [`TbfCache`] under their interned k-function, so the next
-    /// breakpoint's build can splice them back in instead of re-running
-    /// the BDD operations (canonicity makes the spliced handle exactly
-    /// the node a rebuild would return, so reports cannot move).
+    /// Interior results are memoized for the length of the build under
+    /// their gate and interned k-function: suffixes with equal
+    /// variable-gate multisets and fixed sums induce identical sub-TBFs
+    /// (and share resolvents consistently), so a second visit splices in
+    /// the first visit's BDD instead of re-running the BDD operations.
     fn build(
         &mut self,
         output: NodeId,
@@ -750,21 +697,8 @@ impl ConeContext {
         mode: Mode,
         leaf_of_key: HashMap<TimedVarId, Bdd>,
     ) -> Result<Bdd, BuildAbort> {
-        if !self.use_tbf_cache {
-            // Bypassed (mode `Off`, or `Auto` on a tiny cone): drop
-            // cross-breakpoint entries up front; the cache then
-            // degenerates to a within-build memo table.
-            self.tbf_cache.clear_entries();
-        }
-        /// A sub-BDD with its breakpoint validity window and leaf
-        /// support (`None` once the support outgrew [`SUPPORT_CAP`] and
-        /// the result became uncacheable).
-        struct Built {
-            f: Bdd,
-            lo: Time,
-            hi: Time,
-            support: Option<Vec<TimedVarId>>,
-        }
+        // The previous build's handles may have been swept since.
+        self.memo.clear();
         struct TbfBuild<'n> {
             netlist: &'n Netlist,
             pmax: &'n [Time],
@@ -780,7 +714,7 @@ impl ConeContext {
             before_leaf: &'n [Bdd],
             leaf_of_key: HashMap<TimedVarId, Bdd>,
             table: &'n mut TimedTable,
-            cache: &'n mut TbfCache,
+            memo: &'n mut HashMap<(NodeId, TimedVarId), Bdd>,
             suffix: SuffixTracker,
             calls: usize,
         }
@@ -791,28 +725,15 @@ impl ConeContext {
                 n: NodeId,
                 smin: Time,
                 smax: Time,
-            ) -> Result<Built, BuildAbort> {
+            ) -> Result<Bdd, BuildAbort> {
                 let i = n.index();
                 // Collapse rules: compare the extremal total path lengths
                 // of every completion through `n` against the query point.
-                // A positive collapse stays valid for every larger query
-                // point, a negative one for every smaller — the windows
-                // encode exactly that.
                 if smax + self.pmax[i] < self.b {
-                    return Ok(Built {
-                        f: self.static_after[i],
-                        lo: smax + self.pmax[i],
-                        hi: Time::MAX,
-                        support: Some(Vec::new()),
-                    });
+                    return Ok(self.static_after[i]);
                 }
                 if self.mode == Mode::TwoVector && smin + self.pminmin[i] >= self.b {
-                    return Ok(Built {
-                        f: self.static_before[i],
-                        lo: Time::MIN,
-                        hi: smin + self.pminmin[i],
-                        support: Some(Vec::new()),
-                    });
+                    return Ok(self.static_before[i]);
                 }
                 if manager.node_count() > self.max_bdd {
                     return Err(BuildAbort::BddTooLarge {
@@ -835,67 +756,32 @@ impl ConeContext {
                 }
                 let node = self.netlist.node(n);
                 if node.kind().is_constant() {
-                    // Constants never transition; both statics coincide
-                    // and the result is valid at every query point.
-                    return Ok(Built {
-                        f: self.static_after[i],
-                        lo: Time::MIN,
-                        hi: Time::MAX,
-                        support: Some(Vec::new()),
-                    });
+                    // Constants never transition; both statics coincide.
+                    return Ok(self.static_after[i]);
                 }
                 if let Some(pos) = self.netlist.input_position(n) {
                     // Neither collapse fired: this path needs its variable
                     // (straddling resolvent or unsettled fresh variable),
-                    // discovered by pass 1. Its window is the straddling
-                    // interval itself; outside it a collapse takes over.
+                    // discovered by pass 1.
                     let key = self.suffix.key(pos);
                     let id = self.table.intern(&key);
-                    let f = *self
+                    return Ok(*self
                         .leaf_of_key
                         .get(&id)
-                        .expect("pass 1 discovered every leaf key");
-                    let lo = if self.mode == Mode::TwoVector {
-                        smin + self.pminmin[i]
-                    } else {
-                        Time::MIN
-                    };
-                    return Ok(Built {
-                        f,
-                        lo,
-                        hi: smax + self.pmax[i],
-                        support: Some(vec![id]),
-                    });
+                        .expect("pass 1 discovered every leaf key"));
                 }
-                // Interior gate: suffixes with equal variable-gate
-                // multisets and fixed sums induce identical sub-TBFs (and
-                // share resolvents consistently), so the sub-BDD is keyed
-                // by the interned k-function — both for reuse within this
-                // build and across breakpoints while the window holds.
+                // Interior gate: the sub-BDD is keyed by the interned
+                // k-function of the suffix that reached it.
                 let kfn = self.suffix.key(usize::MAX);
                 let id = self.table.intern(&kfn);
-                if let Some(e) = self.cache.lookup(n, id, self.mode.idx(), self.b) {
+                if let Some(&f) = self.memo.get(&(n, id)) {
                     #[cfg(feature = "obs")]
                     self.budget.counters().bump(tbf_obs::Metric::TbfCacheHits);
-                    return Ok(Built {
-                        f: e.bdd,
-                        lo: e.lo,
-                        hi: e.hi,
-                        support: Some(e.support.clone()),
-                    });
+                    return Ok(f);
                 }
                 let d = node.delay();
                 let fanins: Vec<NodeId> = node.fanins().to_vec();
                 let kind = node.kind();
-                // The gate's own window: the interval over which it keeps
-                // straddling, narrowed below by every fanin's window.
-                let mut lo = if self.mode == Mode::TwoVector {
-                    smin + self.pminmin[i]
-                } else {
-                    Time::MIN
-                };
-                let mut hi = smax + self.pmax[i];
-                let mut support: Option<Vec<TimedVarId>> = Some(Vec::new());
                 self.suffix.push(self.netlist, n);
                 // Frame discipline for GC: a sibling's recursive build
                 // can sweep the arena (see the safe point below), and the
@@ -908,19 +794,8 @@ impl ConeContext {
                 for f in fanins {
                     match self.go(manager, f, smin + d.min, smax + d.max) {
                         Ok(built) => {
-                            manager.protect(built.f);
-                            fanin_bdds.push(built.f);
-                            lo = lo.max(built.lo);
-                            hi = hi.min(built.hi);
-                            support = match (support, built.support) {
-                                (Some(mut acc), Some(sub))
-                                    if acc.len() + sub.len() <= SUPPORT_CAP =>
-                                {
-                                    acc.extend(sub);
-                                    Some(acc)
-                                }
-                                _ => None,
-                            };
+                            manager.protect(built);
+                            fanin_bdds.push(built);
                         }
                         Err(e) => {
                             failed = Some(e);
@@ -932,10 +807,6 @@ impl ConeContext {
                 if let Some(e) = failed {
                     manager.truncate_protected(protect_base);
                     return Err(e);
-                }
-                if let Some(acc) = &mut support {
-                    acc.sort_unstable();
-                    acc.dedup();
                 }
                 if fault::trip(Site::BddOp) {
                     manager.truncate_protected(protect_base);
@@ -955,18 +826,14 @@ impl ConeContext {
                 self.budget
                     .counters()
                     .bump(tbf_obs::Metric::TbfInstantiations);
-                if let Some(sup) = support.clone() {
-                    self.cache
-                        .insert((n, id, self.mode.idx()), lo, hi, result, sup);
-                }
+                self.memo.insert((n, id), result);
                 // Safe point: the gate's BDD call is complete, so an
                 // on-pressure sift or arena sweep may rewrite the arena
                 // here. Handles held by parent frames survive any reorder
                 // for free and survive a sweep because each frame
                 // protects its collected fanins; the explicit roots carry
-                // everything else the engine can still reach — statics,
-                // leaf literals, pass-1 leaves, the cross-breakpoint
-                // cache's whole reachable set, and this result.
+                // everything else the build can still reach — statics,
+                // leaf literals, pass-1 leaves, the memo, and this result.
                 if manager.pressure_pending() || manager.gc_pending() {
                     let mut roots: Vec<Bdd> = Vec::with_capacity(
                         self.static_after.len()
@@ -974,15 +841,14 @@ impl ConeContext {
                             + self.after_leaf.len()
                             + self.before_leaf.len()
                             + self.leaf_of_key.len()
-                            + 1,
+                            + self.memo.len(),
                     );
                     roots.extend_from_slice(self.static_after);
                     roots.extend_from_slice(self.static_before);
                     roots.extend_from_slice(self.after_leaf);
                     roots.extend_from_slice(self.before_leaf);
                     roots.extend(self.leaf_of_key.values().copied());
-                    self.cache.roots(&mut roots);
-                    roots.push(result);
+                    roots.extend(self.memo.values().copied());
                     // Sweep *before* the pressure check: under GC most of
                     // the occupied count is transient churn a sweep
                     // reclaims outright, and a sift pass is only worth its
@@ -996,12 +862,7 @@ impl ConeContext {
                         manager.check_pressure(&roots);
                     }
                 }
-                Ok(Built {
-                    f: result,
-                    lo,
-                    hi,
-                    support,
-                })
+                Ok(result)
             }
         }
         let mut builder = TbfBuild {
@@ -1019,13 +880,11 @@ impl ConeContext {
             before_leaf: &self.before_leaf,
             leaf_of_key,
             table: &mut self.table,
-            cache: &mut self.tbf_cache,
+            memo: &mut self.memo,
             suffix: SuffixTracker::default(),
             calls: 0,
         };
-        builder
-            .go(&mut self.manager, output, Time::ZERO, Time::ZERO)
-            .map(|built| built.f)
+        builder.go(&mut self.manager, output, Time::ZERO, Time::ZERO)
     }
 }
 

@@ -1,123 +1,6 @@
 //! Resource caps and knobs for the exact-delay engines.
 
-use tbf_bdd::{GcPolicy, ReorderPolicy};
-
-/// Cross-breakpoint timed-node caching policy (see
-/// [`DelayOptions::tbf_cache`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum TbfCacheMode {
-    /// Size-gated: cross-breakpoint reuse is enabled only for cones with
-    /// more than [`TbfCacheMode::TINY_CONE_GATES`] gates. Tiny cones
-    /// rebuild faster than the cache bookkeeping they would pay for.
-    #[default]
-    Auto,
-    /// Always on, whatever the cone size.
-    On,
-    /// Always off: memoization is restricted to a single breakpoint
-    /// build (the A/B ablation baseline).
-    Off,
-}
-
-impl TbfCacheMode {
-    /// Cones at or below this many gates bypass the cross-breakpoint
-    /// cache under [`TbfCacheMode::Auto`].
-    pub const TINY_CONE_GATES: usize = 32;
-
-    /// Whether a cone with `gates` gates uses cross-breakpoint caching
-    /// under this mode.
-    #[must_use]
-    pub fn enabled_for(self, gates: usize) -> bool {
-        match self {
-            TbfCacheMode::Auto => gates > Self::TINY_CONE_GATES,
-            TbfCacheMode::On => true,
-            TbfCacheMode::Off => false,
-        }
-    }
-
-    /// Canonical lowercase name (`auto` / `on` / `off`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            TbfCacheMode::Auto => "auto",
-            TbfCacheMode::On => "on",
-            TbfCacheMode::Off => "off",
-        }
-    }
-
-    /// Parses a canonical name; accepts the boolean spellings
-    /// `true`/`false` as `on`/`off` for wire compatibility.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<TbfCacheMode> {
-        match s {
-            "auto" => Some(TbfCacheMode::Auto),
-            "on" | "true" => Some(TbfCacheMode::On),
-            "off" | "false" => Some(TbfCacheMode::Off),
-            _ => None,
-        }
-    }
-}
-
-/// Arena garbage-collection knob (see [`DelayOptions::gc`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum GcMode {
-    /// Engine-chosen: mark-and-sweep on arena pressure with
-    /// [`GcMode::DEFAULT_TRIGGER_NODES`]. Currently identical to
-    /// [`GcMode::On`]; the variant exists so a future size- or
-    /// workload-gated heuristic can slot in without a wire change.
-    #[default]
-    Auto,
-    /// Mark-and-sweep on arena pressure with
-    /// [`GcMode::DEFAULT_TRIGGER_NODES`].
-    On,
-    /// Never sweep: the legacy append-only arena (the A/B ablation
-    /// baseline — memory is reclaimed only by engine-level compaction).
-    Off,
-}
-
-impl GcMode {
-    /// Arena slots at which the first pressure sweep fires (the manager
-    /// re-arms above the surviving population after each sweep).
-    pub const DEFAULT_TRIGGER_NODES: usize = 16_384;
-
-    /// Whether any sweep can fire under this mode.
-    #[must_use]
-    pub fn enabled(self) -> bool {
-        !matches!(self, GcMode::Off)
-    }
-
-    /// The manager-level policy this mode installs.
-    #[must_use]
-    pub fn policy(self) -> GcPolicy {
-        match self {
-            GcMode::Auto | GcMode::On => GcPolicy::OnPressure {
-                trigger_nodes: Self::DEFAULT_TRIGGER_NODES,
-            },
-            GcMode::Off => GcPolicy::None,
-        }
-    }
-
-    /// Canonical lowercase name (`auto` / `on` / `off`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            GcMode::Auto => "auto",
-            GcMode::On => "on",
-            GcMode::Off => "off",
-        }
-    }
-
-    /// Parses a canonical name; accepts the boolean spellings
-    /// `true`/`false` as `on`/`off` for wire compatibility.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<GcMode> {
-        match s {
-            "auto" => Some(GcMode::Auto),
-            "on" | "true" => Some(GcMode::On),
-            "off" | "false" => Some(GcMode::Off),
-            _ => None,
-        }
-    }
-}
+use tbf_bdd::ReorderPolicy;
 
 /// Configuration for [`two_vector_delay`](crate::two_vector_delay) and
 /// [`sequences_delay`](crate::sequences_delay).
@@ -163,35 +46,6 @@ pub struct DelayOptions {
     /// the trigger, and the anytime ladder gains a reorder-and-retry
     /// rung before giving up exactness on a blown node cap.
     pub reorder: ReorderPolicy,
-    /// Cross-breakpoint timed-node caching in the delay-model engine:
-    /// sub-BDDs built at one breakpoint are reused at adjacent
-    /// breakpoints while their validity window holds. Purely an effort
-    /// knob — results and reports are byte-identical in every mode (the
-    /// unique table is canonical, so a rebuild allocates exactly the
-    /// nodes a cache hit returns). [`TbfCacheMode::Auto`] (the default)
-    /// bypasses the cache for tiny cones, where its bookkeeping costs
-    /// more wall time than the rebuilds it saves;
-    /// [`TbfCacheMode::Off`] restricts memoization to within a single
-    /// breakpoint build, for A/B measurement.
-    pub tbf_cache: TbfCacheMode,
-    /// Complement edges in the BDD substrate: negation becomes an O(1)
-    /// tag flip and a function shares one physical node with its
-    /// complement, roughly halving unique-table traffic on
-    /// negation-rich circuits. Purely representational — reports are
-    /// byte-identical either way — and on by default; `false` keeps the
-    /// legacy plain-node managers for differential testing.
-    pub complement_edges: bool,
-    /// Mark-and-sweep garbage collection of the BDD arena. Under
-    /// [`GcMode::Auto`] / [`GcMode::On`] the manager sweeps at safe
-    /// points (between gate constructions and between sift variables)
-    /// once the arena passes the pressure trigger, reclaiming transient
-    /// reorder/build garbage in place instead of letting it trip
-    /// `max_bdd_nodes` or the sift abort bound spuriously. Purely a
-    /// memory/effort knob: whether a sweep fires depends only on logical
-    /// quantities, so results and reports are byte-identical with GC on
-    /// or off (only memory telemetry differs). [`GcMode::Off`] keeps the
-    /// legacy append-only arena for A/B measurement.
-    pub gc: GcMode,
 }
 
 impl Default for DelayOptions {
@@ -203,9 +57,6 @@ impl Default for DelayOptions {
             max_breakpoints: usize::MAX,
             time_budget: None,
             reorder: ReorderPolicy::None,
-            tbf_cache: TbfCacheMode::Auto,
-            complement_edges: true,
-            gc: GcMode::Auto,
         }
     }
 }
@@ -232,43 +83,5 @@ mod tests {
         };
         assert_eq!(o.max_cubes, 7);
         assert_eq!(o.max_bdd_nodes, DelayOptions::default().max_bdd_nodes);
-    }
-
-    #[test]
-    fn cache_mode_gates_tiny_cones() {
-        assert_eq!(DelayOptions::default().tbf_cache, TbfCacheMode::Auto);
-        assert!(DelayOptions::default().complement_edges);
-        assert!(!TbfCacheMode::Auto.enabled_for(TbfCacheMode::TINY_CONE_GATES));
-        assert!(TbfCacheMode::Auto.enabled_for(TbfCacheMode::TINY_CONE_GATES + 1));
-        assert!(TbfCacheMode::On.enabled_for(0));
-        assert!(!TbfCacheMode::Off.enabled_for(usize::MAX));
-        for m in [TbfCacheMode::Auto, TbfCacheMode::On, TbfCacheMode::Off] {
-            assert_eq!(TbfCacheMode::parse(m.name()), Some(m));
-        }
-        assert_eq!(TbfCacheMode::parse("true"), Some(TbfCacheMode::On));
-        assert_eq!(TbfCacheMode::parse("false"), Some(TbfCacheMode::Off));
-        assert_eq!(TbfCacheMode::parse("sometimes"), None);
-    }
-
-    #[test]
-    fn gc_mode_maps_to_manager_policy() {
-        assert_eq!(DelayOptions::default().gc, GcMode::Auto);
-        assert!(GcMode::Auto.enabled());
-        assert!(GcMode::On.enabled());
-        assert!(!GcMode::Off.enabled());
-        assert_eq!(
-            GcMode::Auto.policy(),
-            GcPolicy::OnPressure {
-                trigger_nodes: GcMode::DEFAULT_TRIGGER_NODES
-            }
-        );
-        assert_eq!(GcMode::On.policy(), GcMode::Auto.policy());
-        assert_eq!(GcMode::Off.policy(), GcPolicy::None);
-        for m in [GcMode::Auto, GcMode::On, GcMode::Off] {
-            assert_eq!(GcMode::parse(m.name()), Some(m));
-        }
-        assert_eq!(GcMode::parse("true"), Some(GcMode::On));
-        assert_eq!(GcMode::parse("false"), Some(GcMode::Off));
-        assert_eq!(GcMode::parse("maybe"), None);
     }
 }

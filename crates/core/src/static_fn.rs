@@ -39,18 +39,18 @@ pub(crate) fn gate_bdd(
         GateKind::Or => or_all(manager, fanins)?,
         GateKind::Nand => {
             let a = and_all(manager, fanins)?;
-            manager.try_not_b(a, budget)?
+            manager.not(a)
         }
         GateKind::Nor => {
             let a = or_all(manager, fanins)?;
-            manager.try_not_b(a, budget)?
+            manager.not(a)
         }
         GateKind::Xor => xor_all(manager, fanins)?,
         GateKind::Xnor => {
             let x = xor_all(manager, fanins)?;
-            manager.try_not_b(x, budget)?
+            manager.not(x)
         }
-        GateKind::Not => manager.try_not_b(fanins[0], budget)?,
+        GateKind::Not => manager.not(fanins[0]),
         GateKind::Buf => fanins[0],
         GateKind::Maj => {
             let ab = manager.try_and_b(fanins[0], fanins[1], budget)?;

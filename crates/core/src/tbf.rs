@@ -9,7 +9,6 @@
 
 use std::collections::HashMap;
 
-use tbf_bdd::Bdd;
 use tbf_logic::{Netlist, NodeId, Time};
 
 /// A Timed Boolean Function over `n` inputs.
@@ -183,10 +182,9 @@ impl TbfExpr {
 
 // ---------------------------------------------------------------------
 // The symbolic side of the shared delay-model engine: interned timed
-// variables (k-functions) and the cross-breakpoint instantiation cache.
-// `ConeContext` (network.rs) compiles a cone once into these tables;
-// the per-breakpoint BDD builds then reuse any sub-function whose
-// validity window still contains the query point.
+// variables (k-functions). `ConeContext` (network.rs) compiles a cone
+// once into this table; each per-breakpoint BDD build memoizes its
+// interior sub-functions under the interned ids.
 
 /// Identity of a timed variable / k-function `x(t−k)` reached through a
 /// suffix path: the endpoint plus the delay sum `k` *as a function* of
@@ -275,12 +273,6 @@ impl SuffixTracker {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub(crate) struct TimedVarId(u32);
 
-impl TimedVarId {
-    fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 /// The cone's interner: every distinct k-function (leaf or interior
 /// suffix) gets one stable [`TimedVarId`] for the context's lifetime.
 /// Append-only, so ids survive manager rebuilds.
@@ -298,240 +290,6 @@ impl TimedTable {
         let id = TimedVarId(u32::try_from(self.ids.len()).unwrap_or(u32::MAX));
         self.ids.insert(key.clone(), id);
         id
-    }
-}
-
-/// Entries whose support exceeds this are not cached: the per-entry
-/// support list is what makes invalidation exact, and unbounded lists
-/// would make the cache quadratic in cone width.
-pub(crate) const SUPPORT_CAP: usize = 128;
-
-/// FNV-1a over a cone's structural-signature bytes: the cone scope tag
-/// for [`TbfCache::set_cone`]. Collisions are astronomically unlikely
-/// and at worst cost a wrong *hit window* — never a wrong result,
-/// because entries are additionally epoch-checked, and a colliding cone
-/// necessarily owns a different manager whose rebuild `clear()`s the
-/// cache anyway; the tag is a guard, not the sole line of defense.
-pub(crate) fn cone_scope_tag(signature: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in signature {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// One cached instantiation of a timed sub-function: the BDD built for
-/// `(gate, suffix k-function)` at some query point, valid for every
-/// breakpoint `b` in `(lo, hi]` — the window over which every collapse
-/// decision in the subtree is unchanged — as long as none of the leaf
-/// variables in `support` has been re-bound since `built_epoch`.
-pub(crate) struct Instantiation {
-    pub lo: Time,
-    pub hi: Time,
-    pub bdd: Bdd,
-    built_epoch: u64,
-    /// The mode's global bindings generation when this entry was built.
-    /// While the generation is unchanged, *no* leaf binding has changed,
-    /// so freshness holds without scanning `support` — the common case
-    /// on adjacent breakpoints, and the fix for the per-hit O(support)
-    /// epoch scan that made cache hits slower than small rebuilds.
-    built_generation: u64,
-    /// The cache's cone scope when this entry was built. Served only
-    /// while the cache is in the same scope: `Bdd` handles and
-    /// `TimedVarId`s are meaningful only against the manager and
-    /// interner of the cone that built them, so an entry must never
-    /// cross a cone boundary however fresh its epoch looks.
-    built_cone: u64,
-    pub support: Vec<TimedVarId>,
-}
-
-/// The cross-breakpoint timed-node cache (the "symbolic TBF DAG"): maps
-/// `(gate, interned k-function, mode)` to a still-valid BDD so adjacent
-/// breakpoints reuse sub-BDDs instead of rebuilding them.
-///
-/// Invalidation is epoch-based: every query bumps the epoch and re-binds
-/// its leaf variables; a binding that actually changed (a leaf key got a
-/// different slot variable, or a different resolvent) stamps its
-/// `changed_at`, and an entry is served only if `built_epoch` is at
-/// least as new as every support leaf's `changed_at`.
-///
-/// The cache holds plain `Bdd` handles. Handles survive sifting reorders
-/// (swaps rewrite nodes in place), so entries stay correct until the
-/// manager itself is rebuilt — [`clear`](TbfCache::clear) is called on
-/// every layout rebuild. Mark-and-sweep GC is the one operation that
-/// *can* invalidate a handle, so the engine lists every handle the cache
-/// holds — entries and leaf bindings, via [`roots`](TbfCache::roots) —
-/// in the root set of every sweep: the cache stays coherent because
-/// everything it references survives, not because it is rebuilt.
-#[derive(Default)]
-pub(crate) struct TbfCache {
-    entries: HashMap<(NodeId, TimedVarId, u8), Instantiation>,
-    /// Per-mode leaf bindings, indexed by `TimedVarId`.
-    bindings: [Vec<Option<Bdd>>; 2],
-    /// Epoch at which each binding last changed.
-    changed_at: [Vec<u64>; 2],
-    /// Per-mode count of *actual* binding changes, ever. An entry built
-    /// at the current generation is trivially fresh (O(1) hit check);
-    /// the per-support scan only runs when some binding changed since.
-    generation: [u64; 2],
-    epoch: u64,
-    /// The active cone scope. Epochs and generations are monotonic for
-    /// the cache's whole life, so in a cache that outlives one cone
-    /// (the service workspace keeps them across requests) an old cone's
-    /// entry can look perfectly fresh to the epoch machinery while its
-    /// BDD handle points into a dead manager. Scoping entries by cone
-    /// makes that stale read structurally impossible: [`lookup`] serves
-    /// an entry only when its `built_cone` matches, whatever the epochs
-    /// say.
-    ///
-    /// [`lookup`]: TbfCache::lookup
-    cone: u64,
-}
-
-impl TbfCache {
-    /// Starts a new query: later [`bind`](TbfCache::bind) calls stamp
-    /// changed leaves with this epoch.
-    pub fn begin_query(&mut self) {
-        self.epoch += 1;
-    }
-
-    /// Enters the scope of the cone tagged `tag` (derived from the cone
-    /// netlist's structural signature). Entries built under any other
-    /// scope stop being served immediately — per-cone invalidation, not
-    /// the per-session `clear()` a rebuild does.
-    pub fn set_cone(&mut self, tag: u64) {
-        self.cone = tag;
-    }
-
-    /// Drops every entry built under the scope `tag` (an edited cone's
-    /// entries, under the incremental engine), returning how many were
-    /// removed. Other cones' entries are untouched.
-    ///
-    /// The hot path invalidates lazily — [`lookup`](TbfCache::lookup)
-    /// refuses entries whose `built_cone` differs from the active scope
-    /// — so this eager sweep is for memory reclamation in caches shared
-    /// across cones; today only the regression suite drives it.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn invalidate_cone(&mut self, tag: u64) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| e.built_cone != tag);
-        before - self.entries.len()
-    }
-
-    /// Registers the query's BDD for leaf `id` (mode-scoped). Re-binding
-    /// a leaf to the BDD it already had leaves validity untouched.
-    pub fn bind(&mut self, mode: u8, id: TimedVarId, leaf: Bdd) {
-        let m = mode as usize;
-        let i = id.index();
-        if self.bindings[m].len() <= i {
-            self.bindings[m].resize(i + 1, None);
-            self.changed_at[m].resize(i + 1, 0);
-        }
-        if self.bindings[m][i] != Some(leaf) {
-            self.bindings[m][i] = Some(leaf);
-            self.changed_at[m][i] = self.epoch;
-            self.generation[m] += 1;
-        }
-    }
-
-    /// The still-valid instantiation of `(n, id, mode)` at breakpoint
-    /// `b`, if any: the window must contain `b` and every support leaf's
-    /// binding must predate the entry.
-    pub fn lookup(&self, n: NodeId, id: TimedVarId, mode: u8, b: Time) -> Option<&Instantiation> {
-        let e = self.entries.get(&(n, id, mode))?;
-        // Cone scope first: epochs are monotonic across the cache's
-        // whole life, so only the scope tag can tell a fresh entry from
-        // a stale survivor of a previous cone.
-        if e.built_cone != self.cone {
-            return None;
-        }
-        if !(e.lo < b && b <= e.hi) {
-            return None;
-        }
-        // Fast path: no binding in this mode has changed since the entry
-        // was built, so every support leaf is necessarily fresh.
-        if e.built_generation == self.generation[mode as usize] {
-            return Some(e);
-        }
-        let changed = &self.changed_at[mode as usize];
-        let fresh = e
-            .support
-            .iter()
-            .all(|s| changed.get(s.index()).is_some_and(|&c| c <= e.built_epoch));
-        fresh.then_some(e)
-    }
-
-    /// Caches a freshly built instantiation. Entries with oversized
-    /// support are dropped: exact invalidation would cost more than the
-    /// rebuild they might save.
-    pub fn insert(
-        &mut self,
-        key: (NodeId, TimedVarId, u8),
-        lo: Time,
-        hi: Time,
-        bdd: Bdd,
-        support: Vec<TimedVarId>,
-    ) {
-        if support.len() > SUPPORT_CAP {
-            return;
-        }
-        self.entries.insert(
-            key,
-            Instantiation {
-                lo,
-                hi,
-                bdd,
-                built_epoch: self.epoch,
-                built_generation: self.generation[key.2 as usize],
-                built_cone: self.cone,
-                support,
-            },
-        );
-    }
-
-    /// Drops every entry (not the interner): called whenever the BDD
-    /// manager is rebuilt, which invalidates all handles at once.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        for m in 0..2 {
-            self.bindings[m].clear();
-            self.changed_at[m].clear();
-        }
-    }
-
-    /// Drops the cached instantiations but keeps the leaf bindings —
-    /// used when cross-breakpoint reuse is disabled, reducing the cache
-    /// to a within-build memo table.
-    pub fn clear_entries(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Every `Bdd` handle the cache holds: each entry's instantiation
-    /// plus every bound leaf in both modes. Listed in the root set of
-    /// each arena sweep so GC never frees a node a cache hit could
-    /// return. Deterministic contents, but unordered — callers must not
-    /// let the iteration order influence results (the GC mark phase is
-    /// order-insensitive).
-    pub fn roots(&self, out: &mut Vec<Bdd>) {
-        out.extend(self.entries.values().map(|e| e.bdd));
-        for m in 0..2 {
-            out.extend(self.bindings[m].iter().flatten().copied());
-        }
-    }
-
-    /// Staleness sweep for long-lived engines: drops every entry whose
-    /// instantiation was built more than `max_age` queries ago, and
-    /// returns how many were evicted. Purely an effort/memory knob —
-    /// an evicted entry is rebuilt on demand to the identical canonical
-    /// BDD, so results never change — and deterministic: epochs count
-    /// queries, not wall time, so the sweep evicts the same entries at
-    /// every thread count and reorder policy.
-    pub fn evict_stale(&mut self, max_age: u64) -> usize {
-        let cutoff = self.epoch.saturating_sub(max_age);
-        let before = self.entries.len();
-        self.entries.retain(|_, e| e.built_epoch >= cutoff);
-        before - self.entries.len()
     }
 }
 
@@ -659,97 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_freshness_tracks_the_binding_generation() {
-        let mut mgr = tbf_bdd::BddManager::new();
-        let v = mgr.new_var();
-        let tru = mgr.constant(true);
-        let leaf = mgr.var(v);
-        let mut cache = TbfCache::default();
-        let node = figure4_example3().nodes().next().expect("non-empty").0;
-        let id = TimedVarId(0);
-
-        cache.begin_query();
-        cache.bind(0, id, leaf);
-        cache.insert((node, id, 0), t(0), t(10), tru, vec![id]);
-        assert!(cache.lookup(node, id, 0, t(5)).is_some());
-
-        // Re-binding the same leaf is not a change: the O(1) fast path
-        // still serves the entry.
-        cache.begin_query();
-        cache.bind(0, id, leaf);
-        assert_eq!(cache.generation[0], 1);
-        assert!(cache.lookup(node, id, 0, t(5)).is_some());
-
-        // A real re-bind bumps the generation and invalidates the entry.
-        cache.begin_query();
-        cache.bind(0, id, tru);
-        assert_eq!(cache.generation[0], 2);
-        assert!(cache.lookup(node, id, 0, t(5)).is_none());
-
-        // A change to an *unrelated* leaf defeats the fast path but the
-        // support scan still proves the entry fresh.
-        cache.begin_query();
-        cache.insert((node, id, 0), t(0), t(10), tru, vec![id]);
-        cache.begin_query();
-        cache.bind(0, TimedVarId(9), leaf);
-        assert!(cache.lookup(node, id, 0, t(5)).is_some());
-    }
-
-    /// Regression test for the latent lifetime bug the persistent
-    /// service workspace exposes: epochs and generations are monotonic
-    /// for a cache's whole life, so when one `TbfCache` outlives the
-    /// cone it was built against (it used to die with the request), an
-    /// entry from the *previous* cone passes every epoch freshness
-    /// check — `built_generation` still equals the mode's generation if
-    /// the new cone happens not to have re-bound the colliding
-    /// `TimedVarId` — and `lookup` hands the new cone a BDD handle into
-    /// a dead manager. Invalidation must therefore be per-cone (the
-    /// scope tag), not per-session (`clear`).
-    #[test]
-    fn stale_binding_cannot_survive_a_cone_switch() {
-        let mut mgr = tbf_bdd::BddManager::new();
-        let v = mgr.new_var();
-        let leaf = mgr.var(v);
-        let stale_bdd = mgr.constant(true);
-        let mut cache = TbfCache::default();
-        let node = figure4_example3().nodes().next().expect("non-empty").0;
-        let id = TimedVarId(0);
-        let cone_a = cone_scope_tag(b"cone-a");
-        let cone_b = cone_scope_tag(b"cone-b");
-
-        // Cone A builds and caches an instantiation.
-        cache.set_cone(cone_a);
-        cache.begin_query();
-        cache.bind(0, id, leaf);
-        cache.insert((node, id, 0), t(0), t(10), stale_bdd, vec![id]);
-        assert!(cache.lookup(node, id, 0, t(5)).is_some());
-
-        // The cache survives into cone B (same NodeId/TimedVarId values
-        // by construction — slices renumber from 0). Without the scope
-        // tag this lookup returned cone A's entry: `built_generation`
-        // still matches (no re-bind happened), so the epoch machinery
-        // calls it fresh even though its BDD lives in A's manager.
-        cache.set_cone(cone_b);
-        assert!(
-            cache.lookup(node, id, 0, t(5)).is_none(),
-            "cone A's instantiation must not be served to cone B"
-        );
-
-        // Returning to cone A's scope serves it again — per-cone
-        // scoping, not a blanket clear.
-        cache.set_cone(cone_a);
-        assert!(cache.lookup(node, id, 0, t(5)).is_some());
-
-        // Invalidating cone A drops exactly its entries.
-        cache.begin_query();
-        cache.set_cone(cone_b);
-        cache.insert((node, TimedVarId(1), 0), t(0), t(10), stale_bdd, vec![]);
-        assert_eq!(cache.invalidate_cone(cone_a), 1);
-        assert_eq!(cache.entries.len(), 1);
-        assert!(cache.lookup(node, TimedVarId(1), 0, t(5)).is_some());
-    }
-
-    #[test]
     fn suffix_tracker_matches_of_suffix() {
         let n = figure4_example3();
         let gates: Vec<_> = n
@@ -770,40 +437,5 @@ mod tests {
             suffix.pop();
             assert_eq!(tracker.key(0), TimedVarKey::of_suffix(&n, 0, &suffix));
         }
-    }
-
-    #[test]
-    fn cache_eviction_is_epoch_based() {
-        let mgr = tbf_bdd::BddManager::new();
-        let tru = mgr.constant(true);
-        let mut cache = TbfCache::default();
-        let node = figure4_example3().nodes().next().expect("non-empty").0;
-        let id_a = TimedVarId(0);
-        let id_b = TimedVarId(1);
-
-        cache.begin_query(); // epoch 1
-        cache.insert((node, id_a, 0), t(0), t(10), tru, vec![]);
-        for _ in 0..5 {
-            cache.begin_query(); // epochs 2..=6
-        }
-        cache.insert((node, id_b, 0), t(0), t(10), tru, vec![]);
-        assert_eq!(cache.entries.len(), 2);
-        assert_eq!(cache.epoch, 6);
-
-        // Age 10 keeps everything; age 3 evicts only the epoch-1 entry.
-        assert_eq!(cache.evict_stale(10), 0);
-        assert_eq!(cache.evict_stale(3), 1);
-        assert_eq!(cache.entries.len(), 1);
-        assert!(cache.lookup(node, id_b, 0, t(5)).is_some());
-        assert!(cache.lookup(node, id_a, 0, t(5)).is_none());
-
-        // An evicted entry is simply rebuilt: re-inserting revalidates.
-        cache.insert((node, id_a, 0), t(0), t(10), tru, vec![]);
-        assert!(cache.lookup(node, id_a, 0, t(5)).is_some());
-
-        // Age 0 keeps only entries built in the current epoch.
-        cache.begin_query(); // epoch 7
-        assert_eq!(cache.evict_stale(0), 2);
-        assert!(cache.entries.is_empty());
     }
 }

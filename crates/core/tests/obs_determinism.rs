@@ -8,10 +8,14 @@
 //! phase subtrees are merged on join in netlist output order.
 
 use tbf_core::obs::{observe, RunObservation};
-use tbf_core::{analyze, AnalysisPolicy, DelayOptions, GcMode, ReorderPolicy, TbfCacheMode};
-use tbf_logic::generators::adders::{carry_bypass, paper_bypass_adder};
-use tbf_logic::generators::figures::figure1_three_paths;
+use tbf_core::{analyze, AnalysisPolicy, DelayOptions, ReorderPolicy};
+use tbf_logic::generators::adders::{carry_bypass, paper_bypass_adder, ripple_carry};
+use tbf_logic::generators::figures::{figure1_three_paths, figure4_example3, figure6_glitch};
+use tbf_logic::generators::random::random_dag;
 use tbf_logic::generators::trees::parity_tree;
+use tbf_logic::generators::unit_ninety_percent;
+use tbf_logic::parsers::bench::c17;
+use tbf_logic::parsers::mcnc_like_delays;
 use tbf_logic::{DelayBounds, Netlist, Time};
 use tbf_obs::{phase, Metric};
 
@@ -138,147 +142,83 @@ fn direct_engines_record_per_output_spans() {
     assert!(obs.phases.iter().any(|p| p.peak_nodes > 0));
 }
 
+/// The default engine's work on the engine-equivalence suite plus
+/// `ripple_carry_8` and `carry_bypass_4x4`, pinned per circuit: exact
+/// 2-vector delay (fixed-point units), breakpoints visited, gate-BDD
+/// instantiations, build-memo hits, BDD nodes allocated and GC sweeps.
+/// Every column is a logical count, the same on any host, thread count
+/// or run; a change that moves one changes the work the engine does and
+/// must re-pin it on purpose. The delays are the ones every earlier
+/// engine reported.
+const PINNED: [(&str, i64, usize, u64, u64, u64, u64); 11] = [
+    ("c17", 36_000, 2, 8, 0, 202, 0),
+    ("paper_bypass_adder", 240_000, 2, 13, 0, 470, 0),
+    ("ripple_carry_4", 40_000, 5, 16, 0, 1_108, 0),
+    ("ripple_carry_8", 80_000, 9, 46, 0, 2_740, 0),
+    ("carry_bypass_2x2", 50_000, 7, 44, 0, 3_217, 0),
+    ("carry_bypass_4x4", 110_000, 77, 1_770, 0, 447_401, 33),
+    ("parity_tree_6", 30_000, 1, 4, 0, 113, 0),
+    ("figure1_three_paths", 50_000, 1, 2, 0, 32, 0),
+    ("figure4_example3", 40_000, 1, 2, 0, 25, 0),
+    ("figure6_glitch", 0, 1, 0, 0, 2, 0),
+    ("random_dag_6x30", 90_000, 48, 918, 298, 4_783, 0),
+];
+
 #[test]
-fn gc_knob_is_invisible_until_pressure() {
-    // Below the pressure trigger the GC knob must be a pure no-op: not
-    // just the report but the *entire* observation — counters (including
-    // the gc ones, which stay zero) and the phase tree — is byte-
-    // identical across every mode, in every thread count.
-    for netlist in circuits() {
-        let run = |gc: GcMode, threads: usize| {
-            observe(|| {
-                analyze(
-                    &netlist,
-                    &AnalysisPolicy::with_options(DelayOptions {
-                        gc,
-                        ..DelayOptions::default()
-                    })
-                    .with_threads(threads),
-                )
-            })
-        };
-        let (baseline_report, baseline_obs) = run(GcMode::Off, 1);
-        let baseline = fingerprint(&baseline_obs);
-        assert_eq!(baseline_obs.counters.get(Metric::GcSweeps), 0);
-        assert_eq!(baseline_obs.counters.get(Metric::GcNodesReclaimed), 0);
-        for gc in [GcMode::Off, GcMode::On, GcMode::Auto] {
-            for threads in [1, 4] {
-                let (report, obs) = run(gc, threads);
-                assert_eq!(
-                    report, baseline_report,
-                    "report must not depend on gc={gc:?} threads={threads}"
-                );
-                assert_eq!(
-                    fingerprint(&obs),
-                    baseline,
-                    "counters/phases must not depend on gc={gc:?} threads={threads}"
-                );
-            }
-        }
+fn default_effort_counters_are_pinned() {
+    let d = unit_ninety_percent();
+    let suite = [
+        c17(mcnc_like_delays),
+        paper_bypass_adder(),
+        ripple_carry(4, d),
+        ripple_carry(8, d),
+        carry_bypass(2, 2, d),
+        carry_bypass(4, 4, d),
+        parity_tree(6, d),
+        figure1_three_paths(),
+        figure4_example3(),
+        figure6_glitch(),
+        random_dag(6, 30, 3, 0x5EED),
+    ];
+    for (netlist, pin) in suite.iter().zip(PINNED) {
+        let (report, obs) =
+            observe(|| tbf_core::two_vector_delay(netlist, &DelayOptions::default()));
+        let report = report.expect("suite circuits analyze exactly under the default caps");
+        let got = (
+            pin.0,
+            report.delay.scaled(),
+            report.stats.breakpoints_visited,
+            obs.counters.get(Metric::TbfInstantiations),
+            obs.counters.get(Metric::TbfCacheHits),
+            obs.counters.get(Metric::NodesAllocated),
+            obs.counters.get(Metric::GcSweeps),
+        );
+        assert_eq!(
+            got, pin,
+            "(circuit, delay, breakpoints, instantiations, memo hits, nodes allocated, gc sweeps)"
+        );
+        assert_eq!(report.stats.gc_sweeps, pin.6, "{}", pin.0);
     }
 }
 
 #[test]
-fn gc_sweeps_leave_the_report_identical() {
-    // A circuit big enough to cross the pressure trigger: sweeps must
-    // actually fire under `On` and reclaim transient garbage, while the
-    // report (delays, witnesses, statuses — everything `PartialEq`
-    // compares) stays identical to the append-only `Off` arena. Effort
-    // telemetry legitimately differs: purged op-cache entries are
-    // recomputed, and that is exactly what the gc counters record.
-    let netlist = carry_bypass(
-        4,
-        4,
-        DelayBounds::new(Time::from_units(0.9), Time::from_int(1)),
-    );
-    let run = |gc: GcMode| {
-        observe(|| {
-            tbf_core::two_vector_delay(
-                &netlist,
-                &DelayOptions {
-                    gc,
-                    ..DelayOptions::default()
-                },
-            )
-            .expect("bypass adder stays within default caps")
-        })
-    };
-    let (on, obs_on) = run(GcMode::On);
-    let (off, obs_off) = run(GcMode::Off);
-    assert_eq!(on, off, "the gc knob must not change the report");
+fn gc_sweeps_reclaim_build_garbage_on_the_bypass_adder() {
+    // The 4×4 bypass adder's build crosses the pressure trigger: sweeps
+    // fire mid-build and reclaim slots the arena then reuses, so the
+    // arena's high-water mark stays far below the nodes ever allocated.
+    let netlist = carry_bypass(4, 4, unit_ninety_percent());
+    let (report, obs) = observe(|| tbf_core::two_vector_delay(&netlist, &DelayOptions::default()));
+    let report = report.expect("bypass adder stays within default caps");
+    assert!(obs.counters.get(Metric::GcSweeps) > 0);
     assert!(
-        obs_on.counters.get(Metric::GcSweeps) > 0,
-        "the bypass adder must cross the pressure trigger"
-    );
-    assert!(
-        obs_on.counters.get(Metric::GcNodesReclaimed) > 0,
+        obs.counters.get(Metric::GcNodesReclaimed) > 0,
         "sweeps must reclaim transient build garbage"
     );
-    assert_eq!(obs_off.counters.get(Metric::GcSweeps), 0);
-    assert_eq!(obs_off.counters.get(Metric::GcNodesReclaimed), 0);
+    assert_eq!(report.stats.gc_sweeps, obs.counters.get(Metric::GcSweeps));
     assert!(
-        on.stats.peak_arena_nodes < off.stats.peak_arena_nodes,
-        "GC must lower the peak arena ({} vs {})",
-        on.stats.peak_arena_nodes,
-        off.stats.peak_arena_nodes
+        (report.stats.peak_arena_nodes as u64) * 4 < obs.counters.get(Metric::NodesAllocated),
+        "reclaimed slots must be reused (peak arena {} vs {} allocated)",
+        report.stats.peak_arena_nodes,
+        obs.counters.get(Metric::NodesAllocated)
     );
-    assert_eq!(on.stats.gc_sweeps, obs_on.counters.get(Metric::GcSweeps));
-}
-
-#[test]
-fn timed_node_cache_reuses_instantiations_across_breakpoints() {
-    // The PR 5 acceptance story, re-pinned for the PR 7 size gate: the
-    // cross-breakpoint instantiation cache must actually fire on the
-    // §11 bypass adder when forced `on`, and `off` must cost strictly
-    // more gate-BDD builds while leaving the report byte-identical.
-    // (The 11-gate adder sits under `TbfCacheMode::TINY_CONE_GATES`,
-    // so the `Auto` default bypasses the cache here — asserted below.)
-    let netlist = paper_bypass_adder();
-    let run = |mode: TbfCacheMode| {
-        observe(|| {
-            tbf_core::two_vector_delay(
-                &netlist,
-                &DelayOptions {
-                    tbf_cache: mode,
-                    ..DelayOptions::default()
-                },
-            )
-            .expect("small circuit")
-        })
-    };
-    let (on, obs_on) = run(TbfCacheMode::On);
-    let (off, obs_off) = run(TbfCacheMode::Off);
-    assert_eq!(on, off, "the cache knob must not change the report");
-    assert_eq!(on.delay, Time::from_int(24));
-
-    let inst_on = obs_on.counters.get(Metric::TbfInstantiations);
-    let hits_on = obs_on.counters.get(Metric::TbfCacheHits);
-    let inst_off = obs_off.counters.get(Metric::TbfInstantiations);
-    let hits_off = obs_off.counters.get(Metric::TbfCacheHits);
-    assert!(inst_on > 0, "the sweep must instantiate gate BDDs");
-    assert!(
-        hits_on > 0,
-        "the bypass-adder sweep must reuse timed nodes across breakpoints"
-    );
-    assert!(
-        inst_on < inst_off,
-        "cache on must build strictly fewer gate BDDs ({inst_on} vs {inst_off})"
-    );
-    assert!(
-        hits_on > hits_off,
-        "cross-breakpoint reuse must add hits over the within-build memo ({hits_on} vs {hits_off})"
-    );
-
-    // The PR 7 fix: `Auto` (the default) bypasses the cache on this
-    // tiny cone, doing exactly the work `Off` does — same report, same
-    // build/hit counters, none of the bookkeeping that made cache-on
-    // rows slower than cache-off in the retired PR 5 baseline.
-    let (auto, obs_auto) = run(TbfCacheMode::Auto);
-    assert_eq!(auto, off, "the size gate must not change the report");
-    assert_eq!(
-        obs_auto.counters.get(Metric::TbfInstantiations),
-        inst_off,
-        "Auto must bypass the cross-breakpoint cache on tiny cones"
-    );
-    assert_eq!(obs_auto.counters.get(Metric::TbfCacheHits), hits_off);
 }

@@ -4,7 +4,7 @@
 //! [`ReorderPolicy`]. Worker scheduling may reorder the *work*, and
 //! sifting may reorder the *BDD variables*, but never the *result*.
 
-use tbf_core::{analyze, AnalysisPolicy, DelayOptions, GcMode, ReorderPolicy};
+use tbf_core::{analyze, AnalysisPolicy, DelayOptions, ReorderPolicy};
 use tbf_logic::generators::adders::{carry_bypass, paper_bypass_adder, ripple_carry};
 use tbf_logic::generators::figures::{figure1_three_paths, figure4_example3};
 use tbf_logic::generators::random::random_dag;
@@ -137,55 +137,40 @@ fn random_dag_sweep_is_reorder_invariant() {
 }
 
 #[test]
-fn gc_axis_is_cross_config_invariant() {
-    // The full ablation grid with the GC axis added: threads × reorder ×
-    // complement edges × {gc off, gc on}, every cell against one
-    // unreordered sequential append-only baseline. The 4×4 bypass adder
-    // crosses the default pressure trigger, so its gc=On cells really
-    // sweep mid-build; the parity tree stays under it, pinning the
-    // knob's no-op behavior inside the same grid.
+fn sweeping_builds_are_cross_config_invariant() {
+    // Threads × reorder on circuits on both sides of the GC pressure
+    // trigger, every cell against one unreordered sequential baseline.
+    // The 4×4 bypass adder crosses the trigger, so its builds really
+    // sweep mid-build; the parity tree stays under it.
     let d = DelayBounds::new(Time::from_units(0.9), Time::from_int(1));
     let circuits = [
         (carry_bypass(4, 4, d), "bypass 4x4"),
         (parity_tree(8, d), "parity 8"),
     ];
     for (netlist, label) in &circuits {
-        let baseline = analyze(
-            netlist,
-            &AnalysisPolicy::with_options(DelayOptions {
-                gc: GcMode::Off,
-                ..DelayOptions::default()
-            }),
-        );
-        for gc in [GcMode::Off, GcMode::On] {
-            // CLI-scale pressure trigger: it fires a handful of times on
-            // the adder (a tiny trigger would sift thousands of times on
-            // a 100k-node build and drown the suite) and composes with
-            // the GC sweeps happening at the same safe points.
-            for reorder in [
-                ReorderPolicy::None,
-                ReorderPolicy::OnPressure {
-                    trigger_nodes: 50_000,
-                    max_growth: 120,
-                },
-            ] {
-                for complement_edges in [true, false] {
-                    for threads in [1, 4] {
-                        let policy = AnalysisPolicy::with_options(DelayOptions {
-                            gc,
-                            reorder,
-                            complement_edges,
-                            ..DelayOptions::default()
-                        })
-                        .with_threads(threads);
-                        let report = analyze(netlist, &policy);
-                        assert_eq!(
-                            baseline, report,
-                            "{label}: gc={gc:?} reorder={reorder:?} \
-                             ce={complement_edges} threads={threads} diverged"
-                        );
-                    }
-                }
+        let baseline = analyze(netlist, &AnalysisPolicy::default());
+        // CLI-scale pressure trigger: it fires a handful of times on
+        // the adder (a tiny trigger would sift thousands of times on
+        // a 100k-node build and drown the suite) and composes with
+        // the GC sweeps happening at the same safe points.
+        for reorder in [
+            ReorderPolicy::None,
+            ReorderPolicy::OnPressure {
+                trigger_nodes: 50_000,
+                max_growth: 120,
+            },
+        ] {
+            for threads in [1, 4] {
+                let policy = AnalysisPolicy::with_options(DelayOptions {
+                    reorder,
+                    ..DelayOptions::default()
+                })
+                .with_threads(threads);
+                let report = analyze(netlist, &policy);
+                assert_eq!(
+                    baseline, report,
+                    "{label}: reorder={reorder:?} threads={threads} diverged"
+                );
             }
         }
     }

@@ -1,8 +1,7 @@
 //! Referee for the striped within-cone sweep (`speculate`): a single
 //! giant cone — above the striping threshold, with a long all-miss
 //! breakpoint sweep — must produce the same `CircuitReport` at every
-//! worker count, and render to the same bytes across the reorder and
-//! complement-edge axes.
+//! worker count, and render to the same bytes across reorder policies.
 //!
 //! The circuit is a distilled carry-bypass: a `stages`-deep AND ripple
 //! chain muxed against a 2-gate bypass on the same propagate signal.
@@ -38,10 +37,9 @@ fn bypass_chain(stages: usize) -> Netlist {
     b.finish().unwrap()
 }
 
-fn policy(threads: usize, reorder: ReorderPolicy, complement_edges: bool) -> AnalysisPolicy {
+fn policy(threads: usize, reorder: ReorderPolicy) -> AnalysisPolicy {
     AnalysisPolicy::with_options(DelayOptions {
         reorder,
-        complement_edges,
         ..DelayOptions::default()
     })
     .with_threads(threads)
@@ -64,37 +62,30 @@ fn giant_cone_resolves_its_false_path_exactly() {
 }
 
 #[test]
-fn giant_cone_report_is_identical_across_threads_reorder_complement() {
+fn giant_cone_report_is_identical_across_threads_and_reorder() {
     let n = bypass_chain(66);
-    let baseline = analyze(&n, &policy(1, ReorderPolicy::None, true));
-    for complement_edges in [true, false] {
-        let pressure = ReorderPolicy::OnPressure {
-            trigger_nodes: 64,
-            max_growth: 150,
-        };
-        for reorder in [ReorderPolicy::None, pressure] {
-            // Within one (reorder, complement) cell the full report
-            // struct — statistics included — must be byte-identical at
-            // every worker count: striping is a fixed decomposition,
-            // workers only schedule.
-            let cell = analyze(&n, &policy(1, reorder, complement_edges));
-            for threads in [2, 4, 0] {
-                let parallel = analyze(&n, &policy(threads, reorder, complement_edges));
-                assert_eq!(
-                    cell, parallel,
-                    "threads={threads} reorder={reorder:?} ce={complement_edges}"
-                );
-            }
-            // Across cells the node-count statistics legitimately move
-            // (complement edges shrink the unique table), but the
-            // rendered report — delays, statuses, effort counters — is
-            // the same bytes everywhere.
-            assert_eq!(
-                cell.to_string(),
-                baseline.to_string(),
-                "reorder={reorder:?} ce={complement_edges}"
-            );
+    let baseline = analyze(&n, &policy(1, ReorderPolicy::None));
+    let pressure = ReorderPolicy::OnPressure {
+        trigger_nodes: 64,
+        max_growth: 150,
+    };
+    for reorder in [ReorderPolicy::None, pressure] {
+        // Within one reorder cell the full report struct — statistics
+        // included — must be byte-identical at every worker count:
+        // striping is a fixed decomposition, workers only schedule.
+        let cell = analyze(&n, &policy(1, reorder));
+        for threads in [2, 4, 0] {
+            let parallel = analyze(&n, &policy(threads, reorder));
+            assert_eq!(cell, parallel, "threads={threads} reorder={reorder:?}");
         }
+        // Across cells the node-count statistics legitimately move, but
+        // the rendered report — delays, statuses, effort counters — is
+        // the same bytes everywhere.
+        assert_eq!(
+            cell.to_string(),
+            baseline.to_string(),
+            "reorder={reorder:?}"
+        );
     }
 }
 

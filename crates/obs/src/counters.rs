@@ -36,15 +36,13 @@ pub enum Metric {
     SiftSwaps,
     /// Budget cancellation probes (`AnalysisBudget::poll`).
     BudgetPolls,
-    /// Timed-function BDD builds actually performed (misses of the
-    /// cross-breakpoint timed-node cache in the delay-model engine).
+    /// Timed-function gate BDDs actually built by the delay-model
+    /// engine (misses of its per-breakpoint build memo).
     TbfInstantiations,
-    /// Timed-function BDD builds skipped because a previous breakpoint's
-    /// instantiation was still valid (hits of the timed-node cache).
+    /// Timed-function gate BDDs reused within one breakpoint's build
+    /// because an equal k-function reached the same gate before (hits
+    /// of the build memo).
     TbfCacheHits,
-    /// Timed-node cache entries dropped by the epoch-based staleness
-    /// sweep (long-running engines bound their cache memory this way).
-    TbfCacheEvictions,
     /// Cones answered from the incremental (ECO) retention store
     /// without recomputation — their slice signature was unchanged.
     EcoConesReused,
@@ -66,7 +64,7 @@ pub enum Metric {
 
 impl Metric {
     /// Every metric, in registry (serialization) order.
-    pub const ALL: [Metric; 17] = [
+    pub const ALL: [Metric; 16] = [
         Metric::IteCalls,
         Metric::CacheHits,
         Metric::CacheMisses,
@@ -77,7 +75,6 @@ impl Metric {
         Metric::BudgetPolls,
         Metric::TbfInstantiations,
         Metric::TbfCacheHits,
-        Metric::TbfCacheEvictions,
         Metric::EcoConesReused,
         Metric::EcoConesRecomputed,
         Metric::UniqueTableHits,
@@ -99,7 +96,6 @@ impl Metric {
             Metric::BudgetPolls => "budget_polls",
             Metric::TbfInstantiations => "tbf_instantiations",
             Metric::TbfCacheHits => "tbf_cache_hits",
-            Metric::TbfCacheEvictions => "tbf_cache_evictions",
             Metric::EcoConesReused => "eco_cones_reused",
             Metric::EcoConesRecomputed => "eco_cones_recomputed",
             Metric::UniqueTableHits => "unique_table_hits",
@@ -310,8 +306,8 @@ mod tests {
         assert_eq!(snap.len(), Metric::ALL.len());
         assert_eq!(snap[0].0, "ite_calls");
         assert_eq!(snap[5], ("gc_runs", 1));
-        assert_eq!(snap[15].0, "gc_sweeps");
-        assert_eq!(snap[16].0, "gc_nodes_reclaimed");
+        assert_eq!(snap[14].0, "gc_sweeps");
+        assert_eq!(snap[15].0, "gc_nodes_reclaimed");
     }
 
     #[test]

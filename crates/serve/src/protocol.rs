@@ -28,10 +28,9 @@
 //! * `deadline_ms` — per-request wall-clock budget; the effective
 //!   deadline is the earlier of this and the session deadline.
 //! * `options` — engine caps: `max_paths`, `max_bdd`, `max_cubes`,
-//!   `reorder` (`off`/`manual`/`pressure`), `tbf_cache`
-//!   (`auto`/`on`/`off`, or a legacy bool: `true` = `on`),
-//!   `complement_edges` (bool), and `cache` (bool: per-request opt-out
-//!   of the session's warm cache).
+//!   `reorder` (`off`/`manual`/`pressure`), and `cache` (bool:
+//!   per-request opt-out of the session's warm cache). Unknown members
+//!   are ignored.
 //! * `session` — optional ECO session name. On an analyze request it
 //!   establishes (or re-bases) the named incremental session; see
 //!   [`crate::workspace`].
@@ -58,7 +57,7 @@
 
 use std::fmt;
 
-use tbf_core::{CircuitReport, DelayOptions, GcMode, OutputStatus, ReorderPolicy, TbfCacheMode};
+use tbf_core::{CircuitReport, DelayOptions, OutputStatus, ReorderPolicy};
 use tbf_logic::parsers::{mcnc_like_delays, unit_delays};
 use tbf_logic::{Format, Netlist};
 use tbf_obs::json::Value;
@@ -193,9 +192,9 @@ pub struct Request {
     pub session: Option<String>,
     /// Whether this is a `"kind":"eco"` request (requires `session`).
     pub eco: bool,
-    /// The engine-option fingerprint (delay-model tag, timed-node cache
-    /// mode, complement edges, reorder policy) — the non-structural
-    /// suffix of `cache_key`. Sessions pin this at establishment.
+    /// The engine-option fingerprint (delay-model tag, reorder policy)
+    /// — the non-structural suffix of `cache_key`. Sessions pin this at
+    /// establishment.
     pub options_key: Vec<u8>,
 }
 
@@ -456,31 +455,6 @@ pub fn parse_request(
         if let Some(n) = cap("threads")? {
             threads = Some(n);
         }
-        if let Some(v) = opts.get("tbf_cache") {
-            // Booleans are the legacy wire spelling (`true` = always on,
-            // `false` = off); strings name the tri-state mode.
-            let mode = match v {
-                Value::Bool(true) => Some(TbfCacheMode::On),
-                Value::Bool(false) => Some(TbfCacheMode::Off),
-                Value::Str(s) => TbfCacheMode::parse(s),
-                _ => None,
-            };
-            options.tbf_cache = mode.ok_or_else(|| {
-                fail(ServeError::BadRequest {
-                    detail: "`options.tbf_cache` must be auto|on|off or a boolean".to_owned(),
-                })
-            })?;
-        }
-        if let Some(v) = opts.get("complement_edges") {
-            match v {
-                Value::Bool(b) => options.complement_edges = *b,
-                _ => {
-                    return Err(fail(ServeError::BadRequest {
-                        detail: "`options.complement_edges` must be a boolean".to_owned(),
-                    }))
-                }
-            }
-        }
         if let Some(v) = opts.get("cache") {
             match v {
                 Value::Bool(b) => use_cache = *b,
@@ -490,21 +464,6 @@ pub fn parse_request(
                     }))
                 }
             }
-        }
-        if let Some(v) = opts.get("gc") {
-            // Booleans are the boolean wire spelling (`true` = on,
-            // `false` = off); strings name the tri-state mode.
-            let mode = match v {
-                Value::Bool(true) => Some(GcMode::On),
-                Value::Bool(false) => Some(GcMode::Off),
-                Value::Str(s) => GcMode::parse(s),
-                _ => None,
-            };
-            options.gc = mode.ok_or_else(|| {
-                fail(ServeError::BadRequest {
-                    detail: "`options.gc` must be auto|on|off or a boolean".to_owned(),
-                })
-            })?;
         }
         if let Some(r) = opts.get("reorder") {
             options.reorder = match r.as_str() {
@@ -525,32 +484,19 @@ pub fn parse_request(
 
     // Exact results are delay-model- and structure-determined; the caps
     // only decide whether exactness is *reached*, so they stay out of
-    // the key (only all-exact reports are ever cached). The ablation
-    // modes (timed-node cache, complement edges, reorder policy, arena
-    // GC) ARE keyed: a warm hit must only ever be served to a request that would
-    // have recomputed it under the same engine configuration, so an A/B
-    // ablation run through a warm server measures what it claims to.
+    // the key (only all-exact reports are ever cached). The reorder
+    // policy IS keyed: a warm hit must only ever be served to a request
+    // that would have recomputed it under the same engine configuration.
     // The same fingerprint pins an ECO session's engine configuration:
     // retained per-cone results are exactly as configuration-dependent
     // as warm whole-circuit results, so the session key must agree.
     let mut options_key = vec![0xFE];
     options_key.extend_from_slice(delays.as_bytes());
     options_key.push(0xFD);
-    options_key.push(match options.tbf_cache {
-        TbfCacheMode::Auto => 0,
-        TbfCacheMode::On => 1,
-        TbfCacheMode::Off => 2,
-    });
-    options_key.push(u8::from(options.complement_edges));
     options_key.push(match options.reorder {
         ReorderPolicy::None => 0,
         ReorderPolicy::Manual => 1,
         ReorderPolicy::OnPressure { .. } => 2,
-    });
-    options_key.push(match options.gc {
-        GcMode::Auto => 0,
-        GcMode::On => 1,
-        GcMode::Off => 2,
     });
     let mut cache_key = netlist.structural_signature();
     cache_key.extend_from_slice(&options_key);

@@ -763,34 +763,29 @@ mod tests {
     #[test]
     fn ablation_options_partition_the_warm_cache() {
         // Every result-affecting engine option is part of the warm-cache
-        // key: an A/B ablation served by one warm process must never be
-        // answered from the other arm's entry. Each configuration below
-        // is a cold miss even though the circuit never changes; its
-        // exact repeat is a hit.
+        // key: a run under one reorder policy must never be answered
+        // from another policy's entry. Each configuration below is a
+        // cold miss even though the circuit never changes; its exact
+        // repeat is a hit.
         let mut s = Session::new(ServeConfig::default());
+        let line = |id: &str, opts: &str| {
+            format!(
+                r#"{{"id":"{id}","circuit":"INPUT(a)\nINPUT(b)\nOUTPUT(f)\nf = AND(a, b)\n","options":{opts}}}"#
+            )
+        };
         let variants = [
             r#"{}"#,
-            r#"{"tbf_cache":"on"}"#,
-            r#"{"tbf_cache":"off"}"#,
-            r#"{"complement_edges":false}"#,
             r#"{"reorder":"pressure"}"#,
             r#"{"reorder":"manual"}"#,
-            r#"{"gc":"off"}"#,
-            r#"{"gc":"on"}"#,
         ];
         for (i, opts) in variants.iter().enumerate() {
-            let line = |id: &str| {
-                format!(
-                    r#"{{"id":"{id}","circuit":"INPUT(a)\nINPUT(b)\nOUTPUT(f)\nf = AND(a, b)\n","options":{opts}}}"#
-                )
-            };
-            let cold = s.handle_line(&line(&format!("c{i}")));
+            let cold = s.handle_line(&line(&format!("c{i}"), opts));
             assert_eq!(
                 s.cache_stats().hits,
                 i as u64,
                 "variant {opts} read another configuration's warm entry"
             );
-            let warm = s.handle_line(&line(&format!("w{i}")));
+            let warm = s.handle_line(&line(&format!("w{i}"), opts));
             assert_eq!(
                 s.cache_stats().hits,
                 i as u64 + 1,
@@ -799,6 +794,25 @@ mod tests {
             let a = validate_response(&cold).expect("valid");
             let b = validate_response(&warm).expect("valid");
             assert_eq!(a.get("result"), b.get("result"), "{opts}");
+        }
+        assert_eq!(s.cache_stats().insertions, variants.len() as u64);
+        // The retired engine knobs are unknown members now: they select
+        // nothing, so they must hit the `{}` entry.
+        for (i, opts) in [
+            r#"{"gc":"off"}"#,
+            r#"{"complement_edges":false}"#,
+            r#"{"tbf_cache":"off"}"#,
+        ]
+        .iter()
+        .enumerate()
+        {
+            let hits = s.cache_stats().hits;
+            let _ = s.handle_line(&line(&format!("r{i}"), opts));
+            assert_eq!(
+                s.cache_stats().hits,
+                hits + 1,
+                "{opts} missed the `{{}}` entry"
+            );
         }
         assert_eq!(s.cache_stats().insertions, variants.len() as u64);
     }

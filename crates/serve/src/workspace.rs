@@ -22,9 +22,8 @@
 //!   canonically. An edit inside a cone always flips its signature; an
 //!   edit outside never does; adding or removing an unrelated output
 //!   is invisible to the others.
-//! * Engine options (delay model tag, timed-node cache mode,
-//!   complement edges, reorder policy) are pinned per session at
-//!   establishment. An `eco` request whose options disagree is a
+//! * Engine options (delay model tag, reorder policy) are pinned per
+//!   session at establishment. An `eco` request whose options disagree is a
 //!   `bad_request`; re-establishing with different options resets the
 //!   store (a fresh session under the same name).
 //! * A request-level panic inside an ECO attempt clears the session's

@@ -10,7 +10,7 @@
 //! with a plain analyze request. The deterministic `result` members
 //! must be byte-identical at every prefix of the script, and the whole
 //! response-line transcript must be byte-identical across worker-thread
-//! counts, reorder policies and the complement-edges ablation.
+//! counts and reorder policies.
 //!
 //! Seeds come from a fixed table; set `RANDOM_SEED=<u64>` (decimal or
 //! `0x`-hex) to add one more (CI's soak job passes its run id).
@@ -295,12 +295,11 @@ fn frame(id: &str, kind: Option<&str>, session: Option<&str>, circuit: &str) -> 
     f
 }
 
-fn config(threads: usize, reorder: ReorderPolicy, complement_edges: bool) -> ServeConfig {
+fn config(threads: usize, reorder: ReorderPolicy) -> ServeConfig {
     ServeConfig {
         threads,
         defaults: tbf_serve::DelayOptions {
             reorder,
-            complement_edges,
             ..tbf_serve::DelayOptions::default()
         },
         ..ServeConfig::default()
@@ -373,7 +372,7 @@ fn replay(seed: u64, cfg: &ServeConfig) -> (Vec<String>, u64, u64) {
 #[test]
 fn edit_scripts_match_cold_runs_at_every_prefix() {
     for seed in seeds() {
-        let (_, reused, recomputed) = replay(seed, &config(1, ReorderPolicy::None, true));
+        let (_, reused, recomputed) = replay(seed, &config(1, ReorderPolicy::None));
         assert!(
             reused > 0,
             "seed {seed:#x}: a {SCRIPT_LEN}-edit script never reused a cone — the \
@@ -384,21 +383,17 @@ fn edit_scripts_match_cold_runs_at_every_prefix() {
 }
 
 #[test]
-fn transcripts_are_byte_identical_across_threads_reorder_and_complement() {
+fn transcripts_are_byte_identical_across_threads_and_reorder() {
     let pressure = ReorderPolicy::OnPressure {
         trigger_nodes: 50_000,
         max_growth: 120,
     };
     for seed in seeds() {
-        let (baseline, ..) = replay(seed, &config(1, ReorderPolicy::None, true));
+        let (baseline, ..) = replay(seed, &config(1, ReorderPolicy::None));
         for (cfg, label) in [
-            (config(4, ReorderPolicy::None, true), "threads=4"),
-            (config(1, pressure, true), "reorder=pressure"),
-            (config(1, ReorderPolicy::None, false), "complement=off"),
-            (
-                config(4, pressure, false),
-                "threads=4 pressure complement=off",
-            ),
+            (config(4, ReorderPolicy::None), "threads=4"),
+            (config(1, pressure), "reorder=pressure"),
+            (config(4, pressure), "threads=4 pressure"),
         ] {
             let (other, ..) = replay(seed, &cfg);
             assert_eq!(
