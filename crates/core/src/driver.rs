@@ -51,7 +51,7 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use tbf_bdd::ReorderPolicy;
 use tbf_logic::transform::extract_cone_slice;
@@ -75,12 +75,6 @@ pub struct AnalysisPolicy {
     pub max_retries: usize,
     /// Cap multiplier applied per retry.
     pub escalation_factor: usize,
-    /// Whether to attempt the sequences-delay upper bound (rung 3) before
-    /// falling back to the topological bound.
-    pub sequences_fallback: bool,
-    /// Whether to isolate engine panics per cone. Disable to let panics
-    /// propagate (useful when debugging the engines themselves).
-    pub catch_panics: bool,
     /// Worker threads for cone analysis: `1` (the default) runs on the
     /// calling thread, `0` means one worker per available core, any
     /// other value is used as given (clamped to the number of cones).
@@ -94,8 +88,6 @@ impl Default for AnalysisPolicy {
             options: DelayOptions::default(),
             max_retries: 1,
             escalation_factor: 4,
-            sequences_fallback: true,
-            catch_panics: true,
             threads: 1,
         }
     }
@@ -268,22 +260,16 @@ enum Attempt<T> {
     Panicked,
 }
 
-/// Runs `f` (a rung of one cone), isolating panics when asked. A panic
+/// Runs `f` (a rung of one cone), isolating its panics. A panic
 /// invalidates the engine — it is dropped for rebuild by the next rung.
 fn run_rung<T>(
     engine: &mut Option<ConeContext>,
-    catch_panics: bool,
     f: impl FnOnce(&mut ConeContext) -> Result<T, DelayError>,
 ) -> Attempt<T> {
     let Some(eng) = engine.as_mut() else {
         return Attempt::Panicked; // caller ensures presence; treat as dead engine
     };
-    let result = if catch_panics {
-        catch_unwind(AssertUnwindSafe(|| f(eng)))
-    } else {
-        Ok(f(eng))
-    };
-    match result {
+    match catch_unwind(AssertUnwindSafe(|| f(eng))) {
         Ok(Ok(v)) => Attempt::Done(v),
         Ok(Err(e)) => Attempt::Error(e),
         Err(_) => {
@@ -315,8 +301,8 @@ fn ensure_engine(
 struct ConeJob {
     /// Output name (owned: jobs cross thread boundaries).
     name: String,
-    /// The single-output cone netlist (shared with any engine built on
-    /// it, which may outlive the job inside a [`ConeStore`]).
+    /// The single-output cone netlist (shared with the engine built on
+    /// it).
     cone: Arc<Netlist>,
     /// `node_map[i]` = full-netlist id of cone node `i`.
     node_map: Vec<NodeId>,
@@ -351,7 +337,10 @@ impl ConeJob {
     }
 }
 
-/// What one cone job produces; merged in output order by the driver.
+/// What one cone job produces; merged in output order by the driver,
+/// and retained verbatim in a [`ConeStore`] when the cone resolved
+/// exactly.
+#[derive(Clone)]
 struct ConeOutcome {
     entry: OutputDelay,
     stats: SearchStats,
@@ -361,9 +350,6 @@ struct ConeOutcome {
     /// full netlist the merging request carries — a retained witness
     /// must not bake in a previous request's netlist.
     witness: Option<(Time, WitnessParts)>,
-    /// The engine that ran the job, handed back for retention in a
-    /// [`ConeStore`] (`None` when the final rung panicked).
-    engine: Option<ConeContext>,
     /// The cone's phase subtree, captured on whichever worker ran the
     /// job and attached by the coordinator in netlist output order, so
     /// the merged tree never depends on scheduling (merge-on-join).
@@ -399,20 +385,17 @@ fn remap_witness(full: &Netlist, job: &ConeJob, parts: WitnessParts) -> DelayWit
     }
 }
 
-/// The policy's thread knob with `0` resolved to the core count.
-fn raw_workers(requested: usize) -> usize {
-    if requested == 0 {
+/// Resolves the policy's thread knob against the job count, with `0`
+/// meaning the core count.
+fn resolve_threads(requested: usize, jobs: usize) -> usize {
+    let workers = if requested == 0 {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     } else {
         requested
-    }
-}
-
-/// Resolves the policy's thread knob against the job count.
-fn resolve_threads(requested: usize, jobs: usize) -> usize {
-    raw_workers(requested).clamp(1, jobs.max(1))
+    };
+    workers.clamp(1, jobs.max(1))
 }
 
 /// What one incremental analysis did with the retained state: how many
@@ -427,47 +410,29 @@ pub struct EcoStats {
     pub recomputed: usize,
 }
 
-/// One retained cone result, stored in *cone-local* coordinates so it
-/// can be merged into any later request whose slice is structurally
-/// identical — whatever the rest of that request's netlist looks like.
-struct StoredResult {
-    entry: OutputDelay,
-    stats: SearchStats,
-    witness: Option<(Time, WitnessParts)>,
-    #[cfg(feature = "obs")]
-    phases: Vec<tbf_obs::PhaseNode>,
-}
-
-/// Everything retained for one cone slice signature.
+/// One retained exact cone result, stored in *cone-local* coordinates
+/// so it can be merged into any later request whose slice is
+/// structurally identical — whatever the rest of that request's
+/// netlist looks like.
 struct StoredCone {
-    /// The exact outcome, when the cone resolved exactly. Degraded
-    /// outcomes are never retained: they depend on caps and deadlines,
-    /// not just the slice.
-    result: Option<StoredResult>,
-    /// The compiled engine (manager, statics, interner, breakpoint
-    /// sweeps), handed to a later *volatile* recompute of the same slice
-    /// so it starts from a warm manager instead of an empty one.
-    engine: Option<ConeContext>,
+    outcome: ConeOutcome,
     /// LRU stamp ([`ConeStore::epoch`] at last use).
     touched: u64,
 }
 
-/// The incremental engine's retention store: per-cone results and
-/// compiled engines keyed by the cone slice's structural signature
+/// The incremental engine's retention store: exact per-cone results
+/// keyed by the cone slice's structural signature
 /// ([`Netlist::cone_signature`]). The key covers gate kinds, fanins,
 /// delay annotations and input/output names, so a hit is only possible
 /// for a structurally identical slice — which is exactly the
 /// invalidation rule: any edit inside a cone changes its signature and
 /// the stale entry simply stops being found.
 ///
-/// Reuse policy, mirroring the serve warm cache:
-/// * **Results** are retained only when exact, and merged back only for
-///   requests without a deadline — a deadline run must behave like a
-///   cold start so results never depend on what happened to be retained.
-/// * **Engines** are retained for every cone that survived its ladder,
-///   but handed out only to volatile (deadline) recomputes, whose
-///   reports are wall-clock-dependent anyway; deterministic requests
-///   always compile fresh engines.
+/// Reuse policy, mirroring the serve warm cache: results are retained
+/// only when exact (degraded outcomes depend on caps and deadlines, not
+/// just the slice), and merged back only for requests without a
+/// deadline — a deadline run must behave like a cold start so results
+/// never depend on what happened to be retained.
 ///
 /// Capacity is bounded: least-recently-used entries are evicted once the
 /// store exceeds its capacity, oldest first with the key as tie-break,
@@ -506,46 +471,26 @@ impl ConeStore {
         self.entries.clear();
     }
 
-    /// The retained exact outcome for `key`, reconstructed for merging,
-    /// if one exists.
+    /// The retained exact outcome for `key`, if one exists.
     fn reused_outcome(&mut self, key: &[u8]) -> Option<ConeOutcome> {
         let e = self.entries.get_mut(key)?;
-        let r = e.result.as_ref()?;
         e.touched = self.epoch;
-        Some(ConeOutcome {
-            entry: r.entry.clone(),
-            stats: r.stats.clone(),
-            witness: r.witness.clone(),
-            engine: None,
-            #[cfg(feature = "obs")]
-            phases: r.phases.clone(),
-        })
+        Some(e.outcome.clone())
     }
 
-    /// Takes the retained engine for `key` out of the store, if any.
-    fn take_engine(&mut self, key: &[u8]) -> Option<ConeContext> {
-        let e = self.entries.get_mut(key)?;
-        e.touched = self.epoch;
-        e.engine.take()
-    }
-
-    /// Retains what a freshly run cone produced, then enforces capacity.
-    fn retain(&mut self, key: &[u8], result: Option<StoredResult>, engine: Option<ConeContext>) {
-        let entry = self
-            .entries
-            .entry(key.to_vec())
-            .or_insert_with(|| StoredCone {
-                result: None,
-                engine: None,
+    /// Retains a freshly run cone's outcome if it is exact, then
+    /// enforces capacity.
+    fn retain(&mut self, key: &[u8], outcome: &ConeOutcome) {
+        if !outcome.entry.is_exact() {
+            return;
+        }
+        self.entries.insert(
+            key.to_vec(),
+            StoredCone {
+                outcome: outcome.clone(),
                 touched: self.epoch,
-            });
-        entry.touched = self.epoch;
-        if result.is_some() {
-            entry.result = result;
-        }
-        if engine.is_some() {
-            entry.engine = engine;
-        }
+            },
+        );
         while self.entries.len() > self.capacity {
             let victim = self
                 .entries
@@ -564,7 +509,8 @@ impl ConeStore {
 /// [`CircuitReport`] is byte-identical to a cold run on the same netlist
 /// and policy — but cones whose slice signature is already retained with
 /// an exact result are merged back without recomputation, and every cone
-/// that does run deposits its result and engine for the next request.
+/// that runs and resolves exactly deposits its result for the next
+/// request.
 ///
 /// `reuse_results` gates the read side: pass `false` for volatile
 /// (deadline-bearing) requests, which must recompute every cone like a
@@ -620,25 +566,14 @@ fn analyze_impl(
 
     // Partition against the store: cones whose slice signature is
     // retained with an exact result are merged back verbatim (the reuse
-    // set); everything else runs the ladder. Warm engines are handed
-    // out only when result reuse is off — a reusing request must be
-    // bit-for-bit a cold run, so its recomputes compile fresh engines.
+    // set); everything else runs the ladder on a fresh engine.
     let mut outcomes: Vec<Option<ConeOutcome>> = jobs.iter().map(|_| None).collect();
-    let mut warm: Vec<Mutex<Option<ConeContext>>> = Vec::new();
     let mut reused = 0usize;
-    for (i, job) in jobs.iter().enumerate() {
-        let mut warm_engine = None;
-        if let Some((store, reuse_results)) = eco.as_mut() {
-            if *reuse_results {
-                if let Some(out) = store.reused_outcome(&job.key) {
-                    outcomes[i] = Some(out);
-                    reused += 1;
-                }
-            } else {
-                warm_engine = store.take_engine(&job.key);
-            }
+    if let Some((store, true)) = eco.as_mut() {
+        for (i, job) in jobs.iter().enumerate() {
+            outcomes[i] = store.reused_outcome(&job.key);
+            reused += usize::from(outcomes[i].is_some());
         }
-        warm.push(Mutex::new(warm_engine));
     }
     let ran: Vec<bool> = outcomes.iter().map(Option::is_none).collect();
 
@@ -649,22 +584,9 @@ fn analyze_impl(
     order.sort_by_key(|&i| (std::cmp::Reverse(jobs[i].cost()), i));
 
     let threads = resolve_threads(policy.threads, order.len());
-    // Workers left over once every cone has one are lent to the striped
-    // within-cone sweep of giant cones (`speculate`). Scheduling only:
-    // the striped decomposition is fixed, so this never changes a
-    // reported value.
-    let spec_workers = (raw_workers(policy.threads) / order.len().max(1)).max(1);
     if threads <= 1 {
         for &i in &order {
-            let warm_engine = warm[i].lock().map(|mut w| w.take()).unwrap_or(None);
-            outcomes[i] = Some(run_cone_job(
-                &jobs[i],
-                policy,
-                &budget,
-                &plan,
-                spec_workers,
-                warm_engine,
-            ));
+            outcomes[i] = Some(run_cone_job(&jobs[i], policy, &budget, &plan));
         }
     } else {
         let next = AtomicUsize::new(0);
@@ -676,16 +598,7 @@ fn analyze_impl(
                         loop {
                             let k = next.fetch_add(1, Ordering::Relaxed);
                             let Some(&i) = order.get(k) else { break };
-                            let warm_engine = warm[i].lock().map(|mut w| w.take()).unwrap_or(None);
-                            let outcome = run_cone_job(
-                                &jobs[i],
-                                policy,
-                                &budget,
-                                &plan,
-                                spec_workers,
-                                warm_engine,
-                            );
-                            mine.push((i, outcome));
+                            mine.push((i, run_cone_job(&jobs[i], policy, &budget, &plan)));
                         }
                         mine
                     })
@@ -694,8 +607,9 @@ fn analyze_impl(
             handles
                 .into_iter()
                 .flat_map(|h| {
-                    // Workers only panic when `catch_panics` is off;
-                    // propagate exactly like the sequential path would.
+                    // Rungs catch their own panics; anything raised
+                    // outside a rung propagates exactly like the
+                    // sequential path would.
                     h.join().unwrap_or_else(|payload| resume_unwind(payload))
                 })
                 .collect::<Vec<_>>()
@@ -717,14 +631,7 @@ fn analyze_impl(
         stats.merge(&outcome.stats);
         if let Some((store, _)) = eco.as_mut() {
             if ran[i] {
-                let result = (outcome.entry.status == OutputStatus::Exact).then(|| StoredResult {
-                    entry: outcome.entry.clone(),
-                    stats: outcome.stats.clone(),
-                    witness: outcome.witness.clone(),
-                    #[cfg(feature = "obs")]
-                    phases: outcome.phases.clone(),
-                });
-                store.retain(&jobs[i].key, result, outcome.engine.take());
+                store.retain(&jobs[i].key, &outcome);
             }
         }
         #[cfg(feature = "obs")]
@@ -765,35 +672,24 @@ fn analyze_impl(
 }
 
 /// Runs one cone job end to end on the current thread: re-arm the fault
-/// plan, fork an independent budget, build an engine on the cone slice
-/// (warm, when the store handed one back; fresh otherwise) and walk the
-/// ladder. The witness stays in cone coordinates for the merge.
+/// plan, fork an independent budget, build a fresh engine on the cone
+/// slice and walk the ladder. The witness stays in cone coordinates for
+/// the merge.
 fn run_cone_job(
     job: &ConeJob,
     policy: &AnalysisPolicy,
     base: &Arc<AnalysisBudget>,
     plan: &fault::ConePlan,
-    spec_workers: usize,
-    warm: Option<ConeContext>,
 ) -> ConeOutcome {
     fault::with_cone_plan(plan, || {
         let budget = Arc::new(base.fork(&policy.options));
-        let mut warm = warm;
-        if let Some(eng) = warm.as_mut() {
-            // A retained engine still carries the budget of the request
-            // that built it; point it at this request's fork before any
-            // query polls a stale deadline or cancel token.
-            eng.rebind_budget(budget.clone());
-        }
-        let run = |warm: Option<ConeContext>| {
+        let run = || {
             let mut stats = SearchStats::default();
-            let ((entry, witness), engine) =
-                cone_ladder(job, policy, &budget, &mut stats, spec_workers, warm);
+            let (entry, witness) = cone_ladder(job, policy, &budget, &mut stats);
             ConeOutcome {
                 entry,
                 stats,
                 witness,
-                engine,
                 #[cfg(feature = "obs")]
                 phases: Vec::new(),
             }
@@ -804,44 +700,33 @@ fn run_cone_job(
         {
             let (mut outcome, phases) = tbf_obs::phase::capture(|| {
                 let _cone = crate::obs::RungSpan::open(&format!("cone:{}", job.name), &budget);
-                run(warm)
+                run()
             });
             outcome.phases = phases;
             outcome
         }
         #[cfg(not(feature = "obs"))]
-        run(warm)
+        run()
     })
 }
 
-/// What [`cone_ladder`] hands back: the cone's entry (plus the witness
-/// parts when it resolved exactly with a transition), and the engine
-/// for retention (gone when the final rung panicked).
-type LadderOutcome = (
-    (OutputDelay, Option<(Time, WitnessParts)>),
-    Option<ConeContext>,
-);
-
 /// Runs one cone down the full ladder; always returns an entry, plus the
-/// witness parts when the cone resolved exactly with a transition, plus
-/// the engine for retention (gone when the final rung panicked).
+/// witness parts when the cone resolved exactly with a transition.
 fn cone_ladder(
     job: &ConeJob,
     policy: &AnalysisPolicy,
     budget: &Arc<AnalysisBudget>,
     stats: &mut SearchStats,
-    spec_workers: usize,
-    warm: Option<ConeContext>,
-) -> LadderOutcome {
-    let mut engine: Option<ConeContext> = warm;
-    let result = cone_rungs(job, policy, budget, stats, &mut engine, spec_workers);
+) -> (OutputDelay, Option<(Time, WitnessParts)>) {
+    let mut engine: Option<ConeContext> = None;
+    let result = cone_rungs(job, policy, budget, stats, &mut engine);
     // Teardown: reorder effort lives in the engine (it survives manager
     // rebuilds); fold it into the cone's stats. Lost when the final rung
     // panicked and dropped the engine — telemetry only, never a result.
     if let Some(eng) = engine.as_ref() {
         stats.absorb_reorder(eng.total_reorder_stats());
     }
-    (result, engine)
+    result
 }
 
 /// The ladder proper; `engine` is owned by [`cone_ladder`] so telemetry
@@ -852,16 +737,9 @@ fn cone_rungs(
     budget: &Arc<AnalysisBudget>,
     stats: &mut SearchStats,
     engine: &mut Option<ConeContext>,
-    spec_workers: usize,
 ) -> (OutputDelay, Option<(Time, WitnessParts)>) {
     let cone = &job.cone;
     let out_id = job.out_id;
-    // Giant cones sweep their breakpoints striped (see `speculate`):
-    // the fixed decomposition keeps the report byte-identical at every
-    // thread count, so the gate depends only on the cone itself — plus
-    // the live fault plan, whose trip sites are counted in sweep order
-    // and therefore pin the classic sweep.
-    let striped = cone.gate_count() > crate::speculate::GIANT_CONE_GATES && !fault::any_armed();
     let name = job.name.as_str();
     let topological = cone.topological_delay_of(out_id);
     let mut lower = Time::ZERO;
@@ -888,23 +766,12 @@ fn cone_rungs(
             }
             break;
         }
-        let attempt: Attempt<(Time, Option<WitnessParts>)> =
-            run_rung(engine, policy.catch_panics, |eng| {
-                if fault::trip(Site::ConeStart) {
-                    panic!("injected engine panic (fault site ConeStart)");
-                }
-                if striped {
-                    crate::speculate::cone_delay_striped(
-                        &|| crate::two_vector::TwoVector,
-                        eng,
-                        out_id,
-                        stats,
-                        spec_workers,
-                    )
-                } else {
-                    crate::model::cone_delay(&mut crate::two_vector::TwoVector, eng, out_id, stats)
-                }
-            });
+        let attempt: Attempt<(Time, Option<WitnessParts>)> = run_rung(engine, |eng| {
+            if fault::trip(Site::ConeStart) {
+                panic!("injected engine panic (fault site ConeStart)");
+            }
+            crate::model::cone_delay(&mut crate::two_vector::TwoVector, eng, out_id, stats)
+        });
         match attempt {
             Attempt::Done((delay, w)) => {
                 let entry = OutputDelay {
@@ -978,17 +845,13 @@ fn cone_rungs(
     }
 
     // Rung 4: sequences upper bound. Skipped after a panic (a panicking
-    // engine degrades straight to the topological bound), when disabled,
-    // and once the budget is interrupted (it would fail identically at
-    // its first poll).
-    if policy.sequences_fallback
-        && !panicked
-        && budget.cause().is_none()
-        && ensure_engine(cone, budget, engine).is_ok()
-    {
+    // engine degrades straight to the topological bound) and once the
+    // budget is interrupted (it would fail identically at its first
+    // poll).
+    if !panicked && budget.cause().is_none() && ensure_engine(cone, budget, engine).is_ok() {
         #[cfg(feature = "obs")]
         let _rung = crate::obs::RungSpan::open("sequences_bound", budget);
-        let attempt: Attempt<Time> = run_rung(engine, policy.catch_panics, |eng| {
+        let attempt: Attempt<Time> = run_rung(engine, |eng| {
             crate::model::cone_delay(&mut crate::sequences::Sequences, eng, out_id, stats)
                 .map(|(t, _)| t)
         });
@@ -1111,13 +974,9 @@ mod tests {
         assert_eq!(r.exact, Some(t(4)));
     }
 
-    #[test]
-    fn escalation_does_not_leak_into_sibling_cones() {
-        // Output "hard" needs escalation (10 straddling paths under a cap
-        // of 3); output "easy" does not. The easy cone's budget fork must
-        // still see the configured cap, whatever order the cones ran in —
-        // checked indirectly: the report is identical across thread
-        // counts and the easy cone stays exact.
+    /// Two cones: "hard" is the 10-buffer XOR above (10 straddling
+    /// paths), "easy" a single inverter (one path).
+    fn hard_and_easy() -> Netlist {
         let mut b = Netlist::builder();
         let x = b.input("x");
         let y = b.input("y");
@@ -1141,7 +1000,17 @@ mod tests {
             .unwrap();
         b.output("hard", hard);
         b.output("easy", easy);
-        let n = b.finish().unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn escalation_does_not_leak_into_sibling_cones() {
+        // Output "hard" needs escalation (10 straddling paths under a cap
+        // of 3); output "easy" does not. The easy cone's budget fork must
+        // still see the configured cap, whatever order the cones ran in —
+        // checked indirectly: the report is identical across thread
+        // counts and the easy cone stays exact.
+        let n = hard_and_easy();
         let policy = AnalysisPolicy::with_options(DelayOptions {
             max_straddling_paths: 3,
             ..DelayOptions::default()
@@ -1344,6 +1213,40 @@ mod tests {
         let (r3, e3) = analyze_eco(&n, &policy, budget(), &mut store, true);
         assert_eq!(r3, r1);
         assert_eq!(e3.reused, 2);
+    }
+
+    #[test]
+    fn eco_store_retains_exact_cones_only() {
+        // Under the caps of `exhausted_retries_degrade_with_sound_bounds`
+        // "hard" degrades; its sibling "easy" resolves exactly.
+        let n = hard_and_easy();
+        let policy = AnalysisPolicy {
+            options: DelayOptions {
+                max_straddling_paths: 1,
+                ..DelayOptions::default()
+            },
+            escalation_factor: 2,
+            ..AnalysisPolicy::default()
+        };
+        let budget = || AnalysisBudget::from_options(&policy.options).shared();
+        let mut store = ConeStore::new(64);
+        let (r1, e1) = analyze_eco(&n, &policy, budget(), &mut store, true);
+        assert!(!r1.outputs[0].is_exact(), "{r1}");
+        assert!(r1.outputs[1].is_exact(), "{r1}");
+        assert_eq!(e1.recomputed, 2);
+        // Only the exact sibling takes a slot.
+        assert_eq!(store.len(), 1);
+        // A repeat reuses the sibling and reruns only the degraded cone.
+        let (r2, e2) = analyze_eco(&n, &policy, budget(), &mut store, true);
+        assert_eq!(r2, r1);
+        assert_eq!(
+            e2,
+            EcoStats {
+                reused: 1,
+                recomputed: 1
+            }
+        );
+        assert_eq!(store.len(), 1);
     }
 
     #[test]

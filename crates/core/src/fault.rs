@@ -149,16 +149,6 @@ mod imp {
         }
     }
 
-    /// Whether any armed fault on this thread has not yet fired.
-    ///
-    /// The striped within-cone sweep consults this to stay on the
-    /// classic sequential sweep while a fault schedule is live: trip
-    /// sites are counted in sweep order, which speculative striping
-    /// does not preserve.
-    pub fn any_armed() -> bool {
-        PLAN.with(|p| p.borrow().iter().any(|a| !a.fired))
-    }
-
     /// Records a hit at `site`; returns `true` exactly when an armed
     /// fault fires here.
     pub fn trip(site: Site) -> bool {
@@ -230,21 +220,6 @@ pub(crate) fn with_cone_plan<R>(_plan: &ConePlan, f: impl FnOnce() -> R) -> R {
 #[cfg(not(feature = "fault-injection"))]
 #[inline(always)]
 pub fn trip(_site: Site) -> bool {
-    false
-}
-
-/// Whether this thread has an armed, not-yet-fired fault. The striped
-/// within-cone sweep falls back to the classic sequential sweep while
-/// one is live, so fault schedules keep their sweep-order trip counts.
-#[cfg(feature = "fault-injection")]
-pub(crate) fn any_armed() -> bool {
-    imp::any_armed()
-}
-
-/// See the `fault-injection` variant.
-#[cfg(not(feature = "fault-injection"))]
-#[inline(always)]
-pub(crate) fn any_armed() -> bool {
     false
 }
 

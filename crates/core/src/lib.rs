@@ -78,7 +78,6 @@ pub mod lower_bounds;
 pub mod obs;
 pub mod oracle;
 mod sequences;
-mod speculate;
 mod two_vector;
 
 pub use budget::{AnalysisBudget, CancelToken};

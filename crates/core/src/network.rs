@@ -281,23 +281,10 @@ impl ConeContext {
         Ok(engine)
     }
 
-    /// Shared ownership of the cone netlist — for spawning sibling
-    /// engines (stripe speculation) without borrowing this one.
+    /// Shared ownership of the cone netlist, so a query can read it
+    /// while it mutably borrows this engine.
     pub fn netlist_arc(&self) -> Arc<Netlist> {
         Arc::clone(&self.netlist)
-    }
-
-    /// Points a retained engine at a new request's budget. Caps,
-    /// deadline and cancel token are read live through this handle on
-    /// every poll, and per-op cancel probes are constructed per BDD
-    /// call, so swapping the `Arc` is all a service needs to reuse the
-    /// engine across requests. Under `obs`, the manager's hot-path
-    /// counters are re-routed to the new budget's registry too.
-    pub fn rebind_budget(&mut self, budget: Arc<AnalysisBudget>) {
-        self.budget = budget;
-        #[cfg(feature = "obs")]
-        self.manager
-            .set_counters(Arc::clone(self.budget.counters()));
     }
 
     /// The next breakpoint of `output`'s descending `{Kᵢᵐᵃˣ}` sweep

@@ -4,12 +4,14 @@
 //! [`ReorderPolicy`]. Worker scheduling may reorder the *work*, and
 //! sifting may reorder the *BDD variables*, but never the *result*.
 
-use tbf_core::{analyze, AnalysisPolicy, DelayOptions, ReorderPolicy};
+use tbf_core::{analyze, two_vector_delay, AnalysisPolicy, DelayOptions, ReorderPolicy};
 use tbf_logic::generators::adders::{carry_bypass, paper_bypass_adder, ripple_carry};
 use tbf_logic::generators::figures::{figure1_three_paths, figure4_example3};
 use tbf_logic::generators::random::random_dag;
 use tbf_logic::generators::trees::parity_tree;
-use tbf_logic::{DelayBounds, Netlist, Time};
+use tbf_logic::generators::unit_ninety_percent;
+use tbf_logic::{DelayBounds, GateKind, Netlist, Time};
+use tbf_sim::{simulate, Stimulus};
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 0];
 
@@ -174,6 +176,61 @@ fn sweeping_builds_are_cross_config_invariant() {
             }
         }
     }
+}
+
+/// A distilled carry-bypass: a `stages`-deep AND ripple chain muxed
+/// against a 2-gate bypass on the same propagate signal. When `p = 1`
+/// the mux masks the chain, when `p = 0` the chain is killed at every
+/// stage by `p` directly — so the deep path is false, the exact delay is
+/// the bypass's few gate delays, and the sweep misses at every deep
+/// breakpoint before hitting at the shallow end. `stages + 5` gates, one
+/// output, about `stages` breakpoints.
+fn bypass_chain(stages: usize) -> Netlist {
+    let d = unit_ninety_percent();
+    let mut b = Netlist::builder();
+    let c = b.input("c");
+    let p = b.input("p");
+    let mut r = b.gate(GateKind::And, "r0", vec![c, p], d).unwrap();
+    for i in 1..stages {
+        r = b
+            .gate(GateKind::And, &format!("r{i}"), vec![r, p], d)
+            .unwrap();
+    }
+    let byp = b.gate(GateKind::And, "byp", vec![c, p], d).unwrap();
+    let np = b.gate(GateKind::Not, "np", vec![p], d).unwrap();
+    let sel1 = b.gate(GateKind::And, "sel1", vec![p, byp], d).unwrap();
+    let sel0 = b.gate(GateKind::And, "sel0", vec![np, r], d).unwrap();
+    let out = b.gate(GateKind::Or, "out", vec![sel1, sel0], d).unwrap();
+    b.output("f", out);
+    b.finish().unwrap()
+}
+
+#[test]
+fn deep_false_path_cone_is_exact_witnessed_and_invariant() {
+    let n = bypass_chain(66);
+    let r = analyze(&n, &AnalysisPolicy::default());
+    assert_eq!(r.exact, Some(Time::from_int(3)), "{r}");
+    assert_eq!(r.topological, Time::from_int(68));
+    // The sweep misses at every deep breakpoint before the shallow hit.
+    assert!(r.stats.breakpoints_visited >= 66, "{r}");
+    // The direct engine runs the same sweep as the driver's cone job.
+    let direct = two_vector_delay(&n, &DelayOptions::default()).expect("cone analyzes exactly");
+    assert_eq!(Some(direct.delay), r.exact);
+    assert_eq!(
+        direct.stats.breakpoints_visited,
+        r.stats.breakpoints_visited
+    );
+    // Checked outside the engine: the witness, simulated gate by gate,
+    // makes its output's last transition at exactly the reported delay.
+    let w = r
+        .witness
+        .as_ref()
+        .expect("a nonzero exact delay has a witness");
+    let stim = Stimulus::vector_pair(&w.before, &w.after);
+    let sim = simulate(&n, &w.delays, &stim.waveforms(&n));
+    let out = n.outputs()[0].1;
+    assert_eq!(sim.waveform(out).last_transition(), Some(Time::from_int(3)));
+    assert_reorder_invariant(&n, &AnalysisPolicy::default(), "bypass chain 66");
 }
 
 #[cfg(feature = "fault-injection")]

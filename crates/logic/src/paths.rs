@@ -173,8 +173,8 @@ impl<'a> Breakpoints<'a> {
 /// The borrow-free state of a [`Breakpoints`] sweep: the arrival
 /// profile and the `(node, residual)` memo, without the netlist
 /// reference. Callers that own the netlist behind an `Arc` (the
-/// per-cone engine contexts, which must outlive any one request in
-/// service mode) hold this and pass the netlist back in per query.
+/// per-cone engine contexts) hold this and pass the netlist back in per
+/// query.
 ///
 /// Every call must pass the netlist the sweep was built from; the memo
 /// is meaningless against any other netlist.

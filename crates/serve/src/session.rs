@@ -162,7 +162,7 @@ pub struct Session {
     config: ServeConfig,
     cache: WarmCache,
     /// The persistent ECO workspace: named incremental sessions whose
-    /// per-cone engines and retained results survive across requests.
+    /// exact per-cone results survive across requests.
     workspace: SessionWorkspace,
     /// The session budget: its deadline bounds every request's, its
     /// counters catch unobserved work.

@@ -1,9 +1,9 @@
 //! The persistent ECO workspace: named incremental sessions that
 //! survive across requests.
 //!
-//! A plain `tbf serve` request is stateless — its cone engines and
-//! retained results die with the response. An **ECO session** keeps
-//! them alive: an analyze request carrying `"session":"NAME"`
+//! A plain `tbf serve` request keeps nothing at cone granularity — its
+//! per-cone results die with the response. An **ECO session** keeps
+//! the exact ones alive: an analyze request carrying `"session":"NAME"`
 //! establishes (or re-bases) the named session, snapshotting the
 //! request's netlist as the session *base* and retaining every
 //! exactly-solved cone in a [`ConeStore`] keyed by cone slice
@@ -44,7 +44,7 @@ use tbf_logic::Netlist;
 pub const ECO_STORE_CAPACITY: usize = 256;
 
 /// One named incremental session: the base netlist the next `eco`
-/// request diffs against, the retained cone engines/results, and the
+/// request diffs against, the retained exact cone results, and the
 /// options fingerprint every request to this session must match.
 pub struct EcoSession {
     base: Netlist,
