@@ -16,10 +16,10 @@
 //!   and existential/universal quantification,
 //! * model counting, [cube enumeration](BddManager::cubes) and
 //!   [support](BddManager::support) extraction,
-//! * dynamic variable reordering: in-place adjacent
-//!   [swaps](BddManager::swap_levels), Rudell [sifting](BddManager::sift),
-//!   and an automatic [`ReorderPolicy`] — all without ever invalidating a
-//!   [`Bdd`] handle,
+//! * variable reordering on request: in-place adjacent
+//!   [swaps](BddManager::swap_levels) and Rudell
+//!   [sifting](BddManager::sift), without ever invalidating a [`Bdd`]
+//!   handle,
 //! * a cache-conscious memory subsystem: per-variable open-addressing
 //!   unique subtables over a flat node arena, and optional mark-and-sweep
 //!   [garbage collection](BddManager::collect_garbage) under a
@@ -56,7 +56,6 @@ mod node;
 mod obs;
 mod ops;
 mod reorder;
-mod transfer;
 mod unique;
 
 pub use cube::{Cube, Cubes};
@@ -64,5 +63,3 @@ pub use gc::{GcPolicy, GcStats};
 pub use limit::{NodeLimitExceeded, OpAbort, OpBudget};
 pub use manager::BddManager;
 pub use node::{Bdd, Var};
-pub use reorder::{ReorderPolicy, ReorderStats};
-pub use transfer::{best_order, transfer};

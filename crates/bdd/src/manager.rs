@@ -81,17 +81,12 @@ pub struct BddManager {
     pub(crate) var2level: Vec<u32>,
     /// `level2var[l]` = variable currently at order position `l`.
     pub(crate) level2var: Vec<u32>,
-    pub(crate) reorder_policy: crate::reorder::ReorderPolicy,
-    /// Next arena size at which [`check_pressure`](Self::check_pressure)
-    /// fires; doubled after each automatic sift to avoid thrashing.
-    pub(crate) pressure_trigger: usize,
     /// Per-variable arena index: `var_nodes[v]` holds every arena slot
     /// whose root variable is (or once was) `v`. Entries go stale when a
     /// [`swap_levels`](Self::swap_levels) rewrite changes a slot's root;
     /// swaps compact their own variable's list lazily. This turns the
     /// per-swap candidate scan from O(arena) into O(nodes of one var).
     pub(crate) var_nodes: Vec<Vec<u32>>,
-    pub(crate) reorder_stats: crate::reorder::ReorderStats,
     /// Shared effort-counter registry (see [`crate::obs`]); `None` until
     /// [`set_counters`](Self::set_counters) installs one.
     #[cfg(feature = "obs")]
@@ -124,10 +119,7 @@ impl BddManager {
             var_names: Vec::new(),
             var2level: Vec::new(),
             level2var: Vec::new(),
-            reorder_policy: crate::reorder::ReorderPolicy::None,
-            pressure_trigger: 0,
             var_nodes: Vec::new(),
-            reorder_stats: crate::reorder::ReorderStats::default(),
             #[cfg(feature = "obs")]
             counters: None,
         }

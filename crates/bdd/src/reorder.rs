@@ -24,124 +24,15 @@
 //!
 //! Reordering must only run at *safe points*: no BDD operation may be
 //! mid-recursion on this manager when a swap happens, since operations
-//! capture order positions on their way down. The `tbf-core` engine calls
-//! [`check_pressure`](BddManager::check_pressure) strictly between gate
-//! constructions.
+//! capture order positions on their way down. The manager never reorders
+//! on its own; only explicit calls move variables.
 
 use std::collections::HashSet;
 
 use crate::manager::BddManager;
 use crate::node::{Bdd, Node, Var};
 
-/// When the manager reorders its variables on its own.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReorderPolicy {
-    /// Never reorder automatically (explicit [`BddManager::sift`] calls
-    /// still work).
-    #[default]
-    None,
-    /// Sift automatically from [`BddManager::check_pressure`] once the
-    /// arena reaches `trigger_nodes`; each per-variable pass aborts when
-    /// the live size exceeds `max_growth` percent of its starting value.
-    OnPressure {
-        /// Arena size (total allocated nodes) at which the first
-        /// automatic sift fires.
-        trigger_nodes: usize,
-        /// Per-variable growth abort, in percent (e.g. `120` allows 20%
-        /// transient growth while exploring positions).
-        max_growth: usize,
-    },
-    /// Reorder only when the owning engine decides to (e.g. one sift of
-    /// the static functions after layout); never from `check_pressure`.
-    Manual,
-}
-
-/// Cumulative effort counters for reordering on one manager.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReorderStats {
-    /// Completed [`sift`](BddManager::sift) passes.
-    pub reorders: usize,
-    /// Sum of live sizes measured just before each sift.
-    pub nodes_before: usize,
-    /// Sum of live sizes measured just after each sift.
-    pub nodes_after: usize,
-    /// Wall-clock milliseconds spent sifting.
-    pub time_ms: u64,
-}
-
-impl ReorderStats {
-    /// Folds another manager's counters into this one (all fields add).
-    pub fn merge(&mut self, other: &ReorderStats) {
-        self.reorders += other.reorders;
-        self.nodes_before += other.nodes_before;
-        self.nodes_after += other.nodes_after;
-        self.time_ms += other.time_ms;
-    }
-}
-
 impl BddManager {
-    /// The automatic-reordering policy currently installed.
-    pub fn reorder_policy(&self) -> ReorderPolicy {
-        self.reorder_policy
-    }
-
-    /// Installs an automatic-reordering policy (see
-    /// [`check_pressure`](Self::check_pressure)).
-    pub fn set_reorder_policy(&mut self, policy: ReorderPolicy) {
-        self.reorder_policy = policy;
-        self.pressure_trigger = match policy {
-            ReorderPolicy::OnPressure { trigger_nodes, .. } => trigger_nodes,
-            _ => 0,
-        };
-    }
-
-    /// Cumulative reordering effort on this manager.
-    pub fn reorder_stats(&self) -> ReorderStats {
-        self.reorder_stats
-    }
-
-    /// `true` when the policy is `OnPressure` and the arena has reached
-    /// the trigger, i.e. the next [`check_pressure`](Self::check_pressure)
-    /// call will sift. Lets callers avoid collecting roots when nothing
-    /// would happen.
-    pub fn pressure_pending(&self) -> bool {
-        matches!(self.reorder_policy, ReorderPolicy::OnPressure { .. })
-            && self.node_count() >= self.pressure_trigger
-    }
-
-    /// Under [`ReorderPolicy::OnPressure`], sifts `roots` once the arena
-    /// has reached the trigger and returns `true` if a sift ran. Must be
-    /// called at a safe point (no BDD operation in flight). With no GC
-    /// policy installed, handles held by the caller stay valid whether or
-    /// not they are listed in `roots` — `roots` only steers the size
-    /// metric. Under [`GcPolicy::OnPressure`](crate::GcPolicy) the sift
-    /// loop may also sweep, and then `roots` ∪ the protected stack is the
-    /// survival set: unlisted, unprotected handles may be reclaimed.
-    pub fn check_pressure(&mut self, roots: &[Bdd]) -> bool {
-        let ReorderPolicy::OnPressure { max_growth, .. } = self.reorder_policy else {
-            return false;
-        };
-        if !self.pressure_pending() {
-            return false;
-        }
-        let abort = self.sift_abort_bound(roots);
-        self.sift(roots, max_growth, abort);
-        // Re-arm well above the new arena size to avoid thrashing — and
-        // never below double the trigger that just fired. The second
-        // bound matters under GC: the sift loop's sweeps can leave the
-        // occupied count *below* the old trigger, and re-arming from it
-        // alone would let a live population the sift cannot shrink
-        // re-fire a full pass at every safe point. Doubling the trigger
-        // restores the geometric backoff the append-only arena gets for
-        // free (there post-sift occupied ≥ trigger, so the max is a
-        // no-op).
-        self.pressure_trigger = self
-            .node_count()
-            .saturating_mul(2)
-            .max(self.pressure_trigger.saturating_mul(2));
-        true
-    }
-
     /// Arena-size abort threshold for a bounded sift of `roots`.
     ///
     /// Without garbage collection, swaps only grow the occupied arena
@@ -324,7 +215,6 @@ impl BddManager {
         max_growth_percent: usize,
         abort_nodes: usize,
     ) -> (usize, usize) {
-        let started = std::time::Instant::now();
         let n = self.var_count();
         let before = self.live_size(roots);
         self.obs_sift_live(before);
@@ -351,12 +241,7 @@ impl BddManager {
                 }
             }
         }
-        let after = self.live_size(roots);
-        self.reorder_stats.reorders += 1;
-        self.reorder_stats.nodes_before += before;
-        self.reorder_stats.nodes_after += after;
-        self.reorder_stats.time_ms += u64::try_from(started.elapsed().as_millis()).unwrap_or(0);
-        (before, after)
+        (before, self.live_size(roots))
     }
 
     /// Variables with at least one live node, sorted by descending
@@ -544,9 +429,7 @@ mod tests {
             "sifting should at least halve {before} live nodes, got {after}"
         );
         assert_eq!(truth_table(&m, f, 12), tt);
-        assert_eq!(m.reorder_stats().reorders, 1);
-        assert_eq!(m.reorder_stats().nodes_before, before);
-        assert_eq!(m.reorder_stats().nodes_after, after);
+        assert_eq!(m.live_size(&[f]), after);
     }
 
     #[test]
@@ -596,33 +479,6 @@ mod tests {
         let x = m.new_var();
         let _ = m.var(x);
         m.set_order(&[x]);
-    }
-
-    #[test]
-    fn check_pressure_fires_once_and_rearms() {
-        let mut m = BddManager::new();
-        m.set_reorder_policy(ReorderPolicy::OnPressure {
-            trigger_nodes: 8,
-            max_growth: 150,
-        });
-        let f = separated_inner_product(&mut m, 4);
-        assert!(m.pressure_pending());
-        assert!(m.check_pressure(&[f]));
-        assert_eq!(m.reorder_stats().reorders, 1);
-        // Re-armed above the post-sift arena: an immediate second call
-        // must not thrash.
-        assert!(!m.check_pressure(&[f]));
-        assert_eq!(m.reorder_stats().reorders, 1);
-    }
-
-    #[test]
-    fn check_pressure_is_inert_for_other_policies() {
-        let mut m = BddManager::new();
-        let f = separated_inner_product(&mut m, 4);
-        assert!(!m.check_pressure(&[f]));
-        m.set_reorder_policy(ReorderPolicy::Manual);
-        assert!(!m.check_pressure(&[f]));
-        assert_eq!(m.reorder_stats().reorders, 0);
     }
 
     /// Every stored node must keep its then-edge regular

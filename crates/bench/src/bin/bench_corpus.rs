@@ -2,10 +2,9 @@
 //! front end (PR 9).
 //!
 //! Sweeps every circuit of the committed corpus under `benchmarks/`
-//! through the exact anytime engine across a threads × reorder
-//! configuration matrix, asserts that every output resolves **exactly**
-//! and that the per-output delays are identical in every configuration,
-//! and writes the schema-versioned
+//! through the exact anytime engine at 1 and 4 worker threads, asserts
+//! that every output resolves **exactly** and that the per-output delays
+//! are identical in both configurations, and writes the schema-versioned
 //! `BENCH_corpus.json` artifact: per-circuit exact delays (machine
 //! independent, diffed against the committed baseline by CI) plus
 //! per-configuration wall times and memory telemetry — peak arena
@@ -40,7 +39,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use tbf_core::{analyze, AnalysisPolicy, CircuitReport, DelayOptions, ReorderPolicy};
+use tbf_core::{analyze, AnalysisPolicy, CircuitReport};
 use tbf_logic::generators::adders::{carry_bypass, carry_select, paper_bypass_adder, ripple_carry};
 use tbf_logic::generators::datapath::{barrel_shifter, decoder};
 use tbf_logic::generators::random::random_dag;
@@ -57,14 +56,9 @@ const SCHEMA: &str = "tbf-bench-corpus";
 /// Current artifact schema version. Version 2 added the per-configuration
 /// memory columns (`peak_arena_nodes`, `arena_bytes`, `gc_sweeps`,
 /// `gc_reclaimed`); version 3 dropped the complement-edge and gc axes,
-/// which are no longer options.
-const SCHEMA_VERSION: u64 = 3;
-
-/// The `--reorder pressure` trigger used by the pressure column
-/// (mirrors the `tbf` CLI constants).
-const PRESSURE_TRIGGER_NODES: usize = 50_000;
-/// The `--reorder pressure` growth tolerance of the pressure column.
-const PRESSURE_MAX_GROWTH: usize = 120;
+/// which are no longer options; version 4 dropped the reorder axis (the
+/// pressure-reorder column and each configuration's `reorder` member).
+const SCHEMA_VERSION: u64 = 4;
 
 /// One corpus circuit: artifact row name, tier, committed file format,
 /// and the generator netlist the committed file must structurally
@@ -133,30 +127,14 @@ fn corpus() -> Vec<Entry> {
     ]
 }
 
-/// The measured configurations, in artifact column order: one axis at
-/// a time off the `t1_off` baseline, per the determinism contract
-/// (threads and reorder are representation-only).
-const CONFIGS: [(&str, usize, bool); 3] = [
-    // (column, threads, pressure-reorder?)
-    ("t1_off", 1, false),
-    ("t4_off", 4, false),
-    ("t1_pressure", 1, true),
+/// The measured configurations, in artifact column order: worker
+/// threads off the `t1_off` baseline, per the determinism contract
+/// (threads are schedule-only).
+const CONFIGS: [(&str, usize); 2] = [
+    // (column, threads)
+    ("t1_off", 1),
+    ("t4_off", 4),
 ];
-
-fn policy(threads: usize, pressure: bool) -> AnalysisPolicy {
-    let options = DelayOptions {
-        reorder: if pressure {
-            ReorderPolicy::OnPressure {
-                trigger_nodes: PRESSURE_TRIGGER_NODES,
-                max_growth: PRESSURE_MAX_GROWTH,
-            }
-        } else {
-            ReorderPolicy::None
-        },
-        ..DelayOptions::default()
-    };
-    AnalysisPolicy::with_options(options).with_threads(threads)
-}
 
 /// The per-output view the determinism assertion compares: name,
 /// scaled delay, and exactness. Wall time and effort counters are
@@ -188,8 +166,8 @@ fn measure_row(entry: &Entry, reps: u32) -> Result<Value, String> {
     // init, not the engine).
     for rep in 0..reps.max(1) {
         reports.clear();
-        for (i, (_, threads, pressure)) in CONFIGS.iter().enumerate() {
-            let p = policy(*threads, *pressure);
+        for (i, (_, threads)) in CONFIGS.iter().enumerate() {
+            let p = AnalysisPolicy::default().with_threads(*threads);
             let start = Instant::now();
             let report = analyze(netlist, &p);
             if rep > 0 || reps == 1 {
@@ -382,14 +360,10 @@ fn run() -> Result<(), String> {
     }
     let configs = CONFIGS
         .iter()
-        .map(|(name, threads, pressure)| {
+        .map(|(name, threads)| {
             Value::Obj(vec![
                 ("name".to_owned(), Value::str(*name)),
                 ("threads".to_owned(), Value::u64(*threads as u64)),
-                (
-                    "reorder".to_owned(),
-                    Value::str(if *pressure { "pressure" } else { "off" }),
-                ),
             ])
         })
         .collect();

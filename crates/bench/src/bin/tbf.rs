@@ -22,10 +22,6 @@
 //!                          degrades results to sound bounds (anytime mode)
 //!   --threads <N>          worker threads for anytime cone analysis;
 //!                          0 = one per core                         [default: 1]
-//!   --reorder <R>          off | manual | pressure: dynamic BDD variable
-//!                          reordering (sifting). Representation-only —
-//!                          reported delays and witnesses are identical for
-//!                          every setting                       [default: off]
 //!   --replay               simulate the 2-vector witness and report the
 //!                          observed last transition
 //!   --per-output           print the per-output breakdown
@@ -42,8 +38,7 @@
 //!
 //! The run artifact is a [`tbf_obs::RunArtifact`]: a schema-versioned
 //! JSON document whose every section except the trailing `timing` one is
-//! byte-identical across `--threads` and `--reorder off|pressure`
-//! settings (see `DESIGN.md` §13).
+//! byte-identical across `--threads` settings (see `DESIGN.md` §13).
 //!
 //! `tbf serve` starts the long-running analysis service (`tbf-serve`):
 //! a line-delimited JSON request loop on stdin/stdout (or a `--listen`
@@ -56,7 +51,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use tbf_core::{
     analyze, floating_delay, sequences_delay, topological_delay, two_vector_delay, AnalysisPolicy,
-    CircuitReport, DelayOptions, DelayReport, OutputStatus, ReorderPolicy,
+    CircuitReport, DelayOptions, DelayReport, OutputStatus,
 };
 use tbf_logic::parsers::{mcnc_like_delays, unit_delays};
 use tbf_logic::{DelayBounds, Format, Netlist};
@@ -88,20 +83,11 @@ struct Args {
     max_bdd: Option<usize>,
     time_budget_ms: Option<u64>,
     threads: usize,
-    reorder: ReorderPolicy,
     replay: bool,
     per_output: bool,
     emit_metrics: Option<String>,
     quiet: bool,
 }
-
-/// The `--reorder pressure` trigger: sift once the manager holds this
-/// many nodes, then re-arm at twice the post-sift count.
-const PRESSURE_TRIGGER_NODES: usize = 50_000;
-
-/// The `--reorder pressure` growth tolerance (percent of the starting
-/// live size a sift may transiently cost while exploring).
-const PRESSURE_MAX_GROWTH: usize = 120;
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -114,7 +100,6 @@ fn parse_args() -> Result<Args, String> {
         max_bdd: None,
         time_budget_ms: None,
         threads: 1,
-        reorder: ReorderPolicy::None,
         replay: false,
         per_output: false,
         emit_metrics: None,
@@ -167,21 +152,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?
             }
-            "--reorder" => {
-                args.reorder = match value("--reorder")?.as_str() {
-                    "off" => ReorderPolicy::None,
-                    "manual" => ReorderPolicy::Manual,
-                    "pressure" => ReorderPolicy::OnPressure {
-                        trigger_nodes: PRESSURE_TRIGGER_NODES,
-                        max_growth: PRESSURE_MAX_GROWTH,
-                    },
-                    other => {
-                        return Err(format!(
-                            "--reorder must be off, manual or pressure, got `{other}`"
-                        ))
-                    }
-                }
-            }
             "--replay" => args.replay = true,
             "--per-output" => args.per_output = true,
             "--emit-metrics" => args.emit_metrics = Some(value("--emit-metrics")?),
@@ -210,7 +180,7 @@ fn usage() {
         "usage: tbf [--format bench|blif|aiger|verilog] \
          [--model two-vector|sequences|floating|anytime|all] \
          [--delays unit|mcnc] [--dmin-ratio F] [--max-paths N] [--max-bdd N] \
-         [--time-budget MS] [--threads N] [--reorder off|manual|pressure] \
+         [--time-budget MS] [--threads N] \
          [--replay] [--per-output] [--emit-metrics PATH|-] [--quiet] \
          <netlist.bench|.blif|.aag|.aig|.v>"
     );
@@ -393,16 +363,10 @@ fn circuit_value(path: &str, netlist: &Netlist) -> Value {
 
 /// The artifact's `policy` section (the resolved invocation knobs).
 fn policy_value(args: &Args, options: &DelayOptions) -> Value {
-    let reorder = match args.reorder {
-        ReorderPolicy::None => "off",
-        ReorderPolicy::Manual => "manual",
-        ReorderPolicy::OnPressure { .. } => "pressure",
-    };
     Value::Obj(vec![
         ("model".to_owned(), Value::str(&args.model)),
         ("delays".to_owned(), Value::str(&args.delays)),
         ("threads".to_owned(), Value::u64(args.threads as u64)),
-        ("reorder".to_owned(), Value::str(reorder)),
         (
             "max_straddling_paths".to_owned(),
             Value::u64(options.max_straddling_paths as u64),
@@ -536,7 +500,7 @@ fn serve_usage() {
          [--max-gates N] [--max-frame-bytes N] [--session-time-budget MS] \
          [--max-requests N] [--max-attempts N] [--backoff MS] [--max-backoff MS] \
          [--cache-capacity N] [--max-sessions N] [--drain MS] [--max-paths N] [--max-bdd N] \
-         [--reorder off|manual|pressure] [--emit-metrics PATH] [--quiet]\n\
+         [--emit-metrics PATH] [--quiet]\n\
          \n\
          Reads one JSON request per line on stdin (or SOCKET_PATH) and writes one\n\
          schema-versioned JSON response per line; EOF or SIGTERM drains and exits 0."
@@ -602,21 +566,6 @@ fn parse_serve_args(
             }
             "--max-bdd" => {
                 config.defaults.max_bdd_nodes = parsed("--max-bdd", value("--max-bdd")?)? as usize;
-            }
-            "--reorder" => {
-                config.defaults.reorder = match value("--reorder")?.as_str() {
-                    "off" => ReorderPolicy::None,
-                    "manual" => ReorderPolicy::Manual,
-                    "pressure" => ReorderPolicy::OnPressure {
-                        trigger_nodes: PRESSURE_TRIGGER_NODES,
-                        max_growth: PRESSURE_MAX_GROWTH,
-                    },
-                    other => {
-                        return Err(format!(
-                            "--reorder must be off, manual or pressure, got `{other}`"
-                        ))
-                    }
-                };
             }
             "--emit-metrics" => runner.emit_metrics = Some(value("--emit-metrics")?),
             "--quiet" => runner.quiet = true,
@@ -687,7 +636,6 @@ fn main() -> ExitCode {
     if let Some(ms) = args.time_budget_ms {
         options.time_budget = Some(std::time::Duration::from_millis(ms));
     }
-    options.reorder = args.reorder;
 
     say!(
         "{}: {} gates, {} inputs, {} outputs",

@@ -104,7 +104,6 @@ pub struct AnalysisBudget {
     token: Option<CancelToken>,
     polls: AtomicU64,
     tripped: AtomicU8,
-    reorder: tbf_bdd::ReorderPolicy,
     /// The observed run's shared counter registry. Forks clone the
     /// `Arc`, so every cone on every worker reports into one registry;
     /// u64 sums are commutative and the per-cone work is deterministic,
@@ -130,7 +129,6 @@ impl AnalysisBudget {
             token: None,
             polls: AtomicU64::new(0),
             tripped: AtomicU8::new(TRIP_NONE),
-            reorder: options.reorder,
             #[cfg(feature = "obs")]
             counters: crate::obs::session_counters().unwrap_or_else(tbf_obs::Counters::shared),
         }
@@ -173,7 +171,6 @@ impl AnalysisBudget {
             token: self.token.clone(),
             polls: AtomicU64::new(0),
             tripped: AtomicU8::new(TRIP_NONE),
-            reorder: options.reorder,
             #[cfg(feature = "obs")]
             counters: Arc::clone(&self.counters),
         }
@@ -212,7 +209,6 @@ impl AnalysisBudget {
             token: Some(token),
             polls: AtomicU64::new(0),
             tripped: AtomicU8::new(TRIP_NONE),
-            reorder: options.reorder,
             #[cfg(feature = "obs")]
             counters: crate::obs::session_counters().unwrap_or_else(|| Arc::clone(&self.counters)),
         }
@@ -286,11 +282,6 @@ impl AnalysisBudget {
     /// The configured time budget, if any.
     pub fn time_budget(&self) -> Option<Duration> {
         self.time_budget
-    }
-
-    /// The configured variable-reordering policy.
-    pub fn reorder(&self) -> tbf_bdd::ReorderPolicy {
-        self.reorder
     }
 
     fn trip(&self, cause: Interrupt) {

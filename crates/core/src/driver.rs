@@ -5,20 +5,14 @@
 //! [`analyze`] runs every output cone down a ladder of rungs:
 //!
 //! 1. **Exact** 2-vector analysis under the configured caps.
-//! 2. **Reorder and retry** (only when [`DelayOptions::reorder`] is not
-//!    [`ReorderPolicy::None`], and only for a blown node cap): rebuild the
-//!    engine, sift the static functions to a better variable order, and
-//!    rerun the exact search once under the *same* caps — a bad order is
-//!    often the whole reason the cap blew, and sifting is far cheaper than
-//!    a cap escalation.
-//! 3. **Retry** with escalated caps after a manager reset, up to
+//! 2. **Retry** with escalated caps after a manager reset, up to
 //!    [`AnalysisPolicy::max_retries`] times (resource caps only — a spent
 //!    deadline cannot be escalated away).
-//! 4. **Sequences upper bound**: the ω⁻ delay dominates the 2-vector
+//! 3. **Sequences upper bound**: the ω⁻ delay dominates the 2-vector
 //!    delay (more switching freedom can only delay the last transition)
 //!    and needs no cube enumeration or LP, so it often fits in caps the
 //!    exact search blew.
-//! 5. **Topological bound**: always available, maximally pessimistic.
+//! 4. **Topological bound**: always available, maximally pessimistic.
 //!
 //! # Parallel cone analysis
 //!
@@ -53,7 +47,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use tbf_bdd::ReorderPolicy;
 use tbf_logic::transform::extract_cone_slice;
 use tbf_logic::{Netlist, NodeId, Time};
 
@@ -685,7 +678,7 @@ fn run_cone_job(
         let budget = Arc::new(base.fork(&policy.options));
         let run = || {
             let mut stats = SearchStats::default();
-            let (entry, witness) = cone_ladder(job, policy, &budget, &mut stats);
+            let (entry, witness) = cone_rungs(job, policy, &budget, &mut stats);
             ConeOutcome {
                 entry,
                 stats,
@@ -712,32 +705,13 @@ fn run_cone_job(
 
 /// Runs one cone down the full ladder; always returns an entry, plus the
 /// witness parts when the cone resolved exactly with a transition.
-fn cone_ladder(
-    job: &ConeJob,
-    policy: &AnalysisPolicy,
-    budget: &Arc<AnalysisBudget>,
-    stats: &mut SearchStats,
-) -> (OutputDelay, Option<(Time, WitnessParts)>) {
-    let mut engine: Option<ConeContext> = None;
-    let result = cone_rungs(job, policy, budget, stats, &mut engine);
-    // Teardown: reorder effort lives in the engine (it survives manager
-    // rebuilds); fold it into the cone's stats. Lost when the final rung
-    // panicked and dropped the engine — telemetry only, never a result.
-    if let Some(eng) = engine.as_ref() {
-        stats.absorb_reorder(eng.total_reorder_stats());
-    }
-    result
-}
-
-/// The ladder proper; `engine` is owned by [`cone_ladder`] so telemetry
-/// can be folded out of it after the final rung.
 fn cone_rungs(
     job: &ConeJob,
     policy: &AnalysisPolicy,
     budget: &Arc<AnalysisBudget>,
     stats: &mut SearchStats,
-    engine: &mut Option<ConeContext>,
 ) -> (OutputDelay, Option<(Time, WitnessParts)>) {
+    let engine: &mut Option<ConeContext> = &mut None;
     let cone = &job.cone;
     let out_id = job.out_id;
     let name = job.name.as_str();
@@ -748,10 +722,8 @@ fn cone_rungs(
     let mut panicked = false;
     let mut have_error_bound = false;
 
-    // Rungs 1–3: exact search, retried after a reorder and then with
-    // escalated caps.
+    // Rungs 1–2: exact search, retried with escalated caps.
     let mut attempts = 0usize;
-    let mut reordered = false;
     #[cfg(feature = "obs")]
     let mut rung_name = "two_vector_exact";
     loop {
@@ -795,27 +767,6 @@ fn cone_rungs(
                     upper = upper.min(hi);
                     have_error_bound = true;
                 }
-                // Rung 2: a blown node cap is often an ordering problem,
-                // not a size problem — sift the statics into a better
-                // order and rerun once under the *same* caps before
-                // spending an escalation. Does not consume an attempt.
-                if cause == DegradeCause::BddTooLarge
-                    && policy.options.reorder != ReorderPolicy::None
-                    && !reordered
-                {
-                    reordered = true;
-                    stats.retries += 1;
-                    #[cfg(feature = "obs")]
-                    {
-                        rung_name = "reorder_retry";
-                    }
-                    if let Some(eng) = engine.as_mut() {
-                        if eng.reorder_and_reset().is_err() {
-                            *engine = None;
-                        }
-                    }
-                    continue;
-                }
                 let retryable = matches!(
                     cause,
                     DegradeCause::TooManyPaths
@@ -844,7 +795,7 @@ fn cone_rungs(
         }
     }
 
-    // Rung 4: sequences upper bound. Skipped after a panic (a panicking
+    // Rung 3: sequences upper bound. Skipped after a panic (a panicking
     // engine degrades straight to the topological bound) and once the
     // budget is interrupted (it would fail identically at its first
     // poll).
@@ -878,7 +829,7 @@ fn cone_rungs(
         }
     }
 
-    // Rung 5: bounds from the failed search if it established any, else
+    // Rung 4: bounds from the failed search if it established any, else
     // the bare topological fallback.
     let entry = if have_error_bound && (upper < topological || lower > Time::ZERO) {
         OutputDelay {

@@ -90,7 +90,6 @@ pub use options::DelayOptions;
 pub use report::{DegradeCause, DelayReport, DelayWitness, OutputDelay, OutputStatus, SearchStats};
 pub use sequences::{floating_delay, sequences_delay};
 pub use tbf::TbfExpr;
-pub use tbf_bdd::{ReorderPolicy, ReorderStats};
 pub use two_vector::two_vector_delay;
 
 use tbf_logic::{Netlist, Time};

@@ -175,6 +175,5 @@ pub(crate) fn delay_with_model(
             }
         }
     }
-    stats.absorb_reorder(cx.total_reorder_stats());
     finish_report(netlist, outputs, witness, stats, first_error)
 }

@@ -52,9 +52,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use tbf_bdd::{
-    Bdd, BddManager, GcPolicy, GcStats, OpAbort, OpBudget, ReorderPolicy, ReorderStats, Var,
-};
+use tbf_bdd::{Bdd, BddManager, GcPolicy, GcStats, OpAbort, OpBudget, Var};
 use tbf_logic::paths::BreakpointSweep;
 use tbf_logic::{Netlist, NodeId, Time};
 
@@ -160,11 +158,6 @@ const MAX_BUILD_CALLS: usize = 5_000_000;
 /// so reports are the same whatever it reclaims.
 const GC_TRIGGER_NODES: usize = 16_384;
 
-/// Growth tolerance (percent of the starting live size) for the sifting
-/// passes the engine runs itself — one-shot sifts at safe points, where a
-/// moderately adventurous search pays off.
-const MANUAL_SIFT_GROWTH: usize = 120;
-
 /// Classification rule: which leaf references need their own variable.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -223,11 +216,8 @@ pub(crate) struct ConeContext {
     /// All `x⁺`/`x⁻` variables (for the ∃-projection onto resolvents).
     pub input_vars: Vec<Var>,
     statics_baseline: usize,
-    /// Reorder effort folded in from managers this engine has already
+    /// GC effort folded in from managers this engine has already
     /// replaced (layout rebuilds drop the manager but not its telemetry).
-    carried_reorder: ReorderStats,
-    /// GC effort folded in from replaced managers, same as
-    /// `carried_reorder`.
     carried_gc: GcStats,
     /// High-water arena slots / bytes across replaced managers.
     carried_peak_arena: usize,
@@ -268,7 +258,6 @@ impl ConeContext {
             static_before: Vec::new(),
             input_vars: Vec::new(),
             statics_baseline: 0,
-            carried_reorder: ReorderStats::default(),
             carried_gc: GcStats::default(),
             carried_peak_arena: 0,
             carried_arena_bytes: 0,
@@ -299,21 +288,10 @@ impl ConeContext {
     }
 
     /// (Re)creates the manager: interleaved variables, then both statics.
+    /// The variables' creation order is the order the engine runs under;
+    /// nothing reorders them afterwards. GC telemetry of the manager being
+    /// replaced is carried over so rebuilds never lose effort accounting.
     fn layout(&mut self) -> Result<(), BuildAbort> {
-        self.layout_with_order(None)
-    }
-
-    /// [`layout`](Self::layout), optionally installing a variable order on
-    /// the fresh manager before any node is built. All variables are
-    /// declared first (the DFS-interleaved creation order is the stable
-    /// identity), then the order is applied, then the leaf literals and
-    /// statics are constructed under it.
-    ///
-    /// Reorder telemetry of the manager being replaced is folded into
-    /// [`carried_reorder`](Self::total_reorder_stats) so rebuilds never
-    /// lose effort accounting.
-    fn layout_with_order(&mut self, order: Option<&[Var]>) -> Result<(), BuildAbort> {
-        self.carried_reorder.merge(&self.manager.reorder_stats());
         let gc = self.manager.gc_stats();
         self.carried_gc.sweeps += gc.sweeps;
         self.carried_gc.reclaimed += gc.reclaimed;
@@ -346,13 +324,6 @@ impl ConeContext {
                 .map(|j| manager.new_named_var(&format!("s_{name}_{j}")))
                 .collect();
         }
-        // The manager still holds only the two terminals here, so a
-        // remembered order can be installed without any node rewriting.
-        if let Some(ord) = order {
-            manager.set_order(ord);
-        }
-        let policy = self.budget.reorder();
-        manager.set_reorder_policy(policy);
         manager.set_gc_policy(GcPolicy::OnPressure {
             trigger_nodes: GC_TRIGGER_NODES,
         });
@@ -372,18 +343,6 @@ impl ConeContext {
             .map_err(BuildAbort::from_op)?;
         let static_before = build_statics(&mut manager, &self.netlist, &before_leaf, &op_budget)
             .map_err(BuildAbort::from_op)?;
-        if order.is_none() && policy == ReorderPolicy::Manual {
-            // One sift of the statics right after layout: the cheapest
-            // point to pick an order, before queries multiply the nodes.
-            // The leaf literals join the roots because the sift loop may
-            // sweep (GC): a disconnected input's literal is unreachable
-            // from the statics, and its stored handle must stay valid.
-            let mut roots = Self::static_roots(&static_after, &static_before);
-            roots.extend_from_slice(&after_leaf);
-            roots.extend_from_slice(&before_leaf);
-            let abort = manager.sift_abort_bound(&roots);
-            manager.sift(&roots, MANUAL_SIFT_GROWTH, abort);
-        }
         self.statics_baseline = manager.node_count();
         self.manager = manager;
         self.after_leaf = after_leaf;
@@ -395,43 +354,15 @@ impl ConeContext {
         Ok(())
     }
 
-    fn static_roots(static_after: &[Bdd], static_before: &[Bdd]) -> Vec<Bdd> {
-        let mut roots = Vec::with_capacity(static_after.len() + static_before.len());
-        roots.extend_from_slice(static_after);
-        roots.extend_from_slice(static_before);
-        roots
-    }
-
     /// Every handle the engine holds between queries: the survival set
     /// for an arena sweep at an engine-level safe point. Statics and both
     /// leaf-literal vectors.
     fn gc_roots(&self) -> Vec<Bdd> {
-        let mut roots = Self::static_roots(&self.static_after, &self.static_before);
+        let mut roots = self.static_after.clone();
+        roots.extend_from_slice(&self.static_before);
         roots.extend_from_slice(&self.after_leaf);
         roots.extend_from_slice(&self.before_leaf);
         roots
-    }
-
-    /// The reorder-and-retry rung of the degradation ladder: rebuild a
-    /// compact manager, sift the statics to find a better order, then
-    /// rebuild once more under that order so the retry starts from a
-    /// dense arena. Handles from before the call are invalid (as after
-    /// [`reset`](Self::reset)).
-    pub fn reorder_and_reset(&mut self) -> Result<(), BuildAbort> {
-        self.layout_with_order(None)?;
-        let roots = self.gc_roots();
-        let abort = self.manager.sift_abort_bound(&roots);
-        self.manager.sift(&roots, MANUAL_SIFT_GROWTH, abort);
-        let order = self.manager.current_order();
-        self.layout_with_order(Some(&order))
-    }
-
-    /// Reorder effort across the engine's whole life, including managers
-    /// already replaced by layout rebuilds.
-    pub fn total_reorder_stats(&self) -> ReorderStats {
-        let mut rs = self.carried_reorder;
-        rs.merge(&self.manager.reorder_stats());
-        rs
     }
 
     /// Folds the engine's memory telemetry — arena high-water mark,
@@ -815,13 +746,12 @@ impl ConeContext {
                     .bump(tbf_obs::Metric::TbfInstantiations);
                 self.memo.insert((n, id), result);
                 // Safe point: the gate's BDD call is complete, so an
-                // on-pressure sift or arena sweep may rewrite the arena
-                // here. Handles held by parent frames survive any reorder
-                // for free and survive a sweep because each frame
-                // protects its collected fanins; the explicit roots carry
-                // everything else the build can still reach — statics,
-                // leaf literals, pass-1 leaves, the memo, and this result.
-                if manager.pressure_pending() || manager.gc_pending() {
+                // arena sweep may run here. Handles held by parent frames
+                // survive it because each frame protects its collected
+                // fanins; the explicit roots carry everything else the
+                // build can still reach — statics, leaf literals, pass-1
+                // leaves, the memo, and this result.
+                if manager.gc_pending() {
                     let mut roots: Vec<Bdd> = Vec::with_capacity(
                         self.static_after.len()
                             + self.static_before.len()
@@ -836,18 +766,7 @@ impl ConeContext {
                     roots.extend_from_slice(self.before_leaf);
                     roots.extend(self.leaf_of_key.values().copied());
                     roots.extend(self.memo.values().copied());
-                    // Sweep *before* the pressure check: under GC most of
-                    // the occupied count is transient churn a sweep
-                    // reclaims outright, and a sift pass is only worth its
-                    // cost when the live population itself kept growing
-                    // past the trigger. Checking pressure first would
-                    // re-fire a full sift every ~2×live transient
-                    // allocations — orders of magnitude more passes than
-                    // the append-only arena's geometric backoff.
                     manager.maybe_gc(&roots);
-                    if manager.pressure_pending() {
-                        manager.check_pressure(&roots);
-                    }
                 }
                 Ok(result)
             }

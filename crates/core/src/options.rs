@@ -1,7 +1,5 @@
 //! Resource caps and knobs for the exact-delay engines.
 
-use tbf_bdd::ReorderPolicy;
-
 /// Configuration for [`two_vector_delay`](crate::two_vector_delay) and
 /// [`sequences_delay`](crate::sequences_delay).
 ///
@@ -37,15 +35,6 @@ pub struct DelayOptions {
     /// Exceeding it yields [`DelayError::TimedOut`](crate::DelayError)
     /// with sound bounds, checked between breakpoints.
     pub time_budget: Option<std::time::Duration>,
-    /// Dynamic BDD variable reordering. Reordering only ever changes the
-    /// *representation*: reports are byte-identical whatever this is set
-    /// to (only effort telemetry differs). Under
-    /// [`ReorderPolicy::Manual`] the engine sifts its static functions
-    /// once after layout; under [`ReorderPolicy::OnPressure`] the manager
-    /// additionally sifts between gate constructions when it grows past
-    /// the trigger, and the anytime ladder gains a reorder-and-retry
-    /// rung before giving up exactness on a blown node cap.
-    pub reorder: ReorderPolicy,
 }
 
 impl Default for DelayOptions {
@@ -56,7 +45,6 @@ impl Default for DelayOptions {
             max_cubes: 50_000,
             max_breakpoints: usize::MAX,
             time_budget: None,
-            reorder: ReorderPolicy::None,
         }
     }
 }

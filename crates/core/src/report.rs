@@ -142,11 +142,10 @@ impl OutputDelay {
 /// columns and for regression tracking.
 ///
 /// Equality is *semantic*: representation-dependent telemetry —
-/// `peak_bdd_nodes`, the `reorder_*` fields and the memory fields
-/// (`peak_arena_nodes`, `arena_bytes`, `gc_sweeps`, `gc_reclaimed`) —
-/// is excluded, so two reports compare equal whenever the search did the
-/// same logical work, whatever the variable order, thread count or GC
-/// mode happened to be.
+/// `peak_bdd_nodes` and the memory fields (`peak_arena_nodes`,
+/// `arena_bytes`, `gc_sweeps`, `gc_reclaimed`) — is excluded, so two
+/// reports compare equal whenever the search did the same logical work,
+/// whatever the thread count or the garbage collector happened to do.
 #[derive(Clone, Debug, Default)]
 pub struct SearchStats {
     /// Breakpoints (`Kᵢᵐᵃˣ` values) examined across all outputs.
@@ -157,8 +156,7 @@ pub struct SearchStats {
     pub lps_solved: usize,
     /// Peak BDD node count.
     pub peak_bdd_nodes: usize,
-    /// Ladder retries (reorder-and-retry or cap escalation + engine
-    /// reset) attempted.
+    /// Ladder retries (cap escalation + engine reset) attempted.
     pub retries: usize,
     /// Cones that fell back to the sequences-delay upper bound.
     pub sequences_fallbacks: usize,
@@ -166,14 +164,6 @@ pub struct SearchStats {
     pub topological_fallbacks: usize,
     /// Engine panics caught and isolated by the driver.
     pub panics_caught: usize,
-    /// Variable-reordering (sifting) passes run.
-    pub reorders: usize,
-    /// Sum of live BDD node counts just before each sift.
-    pub reorder_nodes_before: usize,
-    /// Sum of live BDD node counts just after each sift.
-    pub reorder_nodes_after: usize,
-    /// Wall-clock milliseconds spent sifting.
-    pub reorder_time_ms: u64,
     /// Peak arena *slots* (live + dead) of any one manager — the real
     /// high-water memory mark, unlike `peak_bdd_nodes` which counts
     /// occupied slots and therefore shrinks when GC reclaims.
@@ -189,11 +179,9 @@ pub struct SearchStats {
 
 impl PartialEq for SearchStats {
     fn eq(&self, other: &Self) -> bool {
-        // Deliberately skips peak_bdd_nodes, reorders,
-        // reorder_nodes_before/after, reorder_time_ms, peak_arena_nodes,
+        // Deliberately skips peak_bdd_nodes, peak_arena_nodes,
         // arena_bytes, gc_sweeps and gc_reclaimed: those describe the
-        // representation, the wall clock and the memory manager — not
-        // the search.
+        // representation and the memory manager — not the search.
         self.breakpoints_visited == other.breakpoints_visited
             && self.resolvents == other.resolvents
             && self.lps_solved == other.lps_solved
@@ -219,22 +207,10 @@ impl SearchStats {
         self.sequences_fallbacks += other.sequences_fallbacks;
         self.topological_fallbacks += other.topological_fallbacks;
         self.panics_caught += other.panics_caught;
-        self.reorders += other.reorders;
-        self.reorder_nodes_before += other.reorder_nodes_before;
-        self.reorder_nodes_after += other.reorder_nodes_after;
-        self.reorder_time_ms += other.reorder_time_ms;
         self.peak_arena_nodes = self.peak_arena_nodes.max(other.peak_arena_nodes);
         self.arena_bytes = self.arena_bytes.max(other.arena_bytes);
         self.gc_sweeps += other.gc_sweeps;
         self.gc_reclaimed += other.gc_reclaimed;
-    }
-
-    /// Folds a BDD manager's reordering counters into this record.
-    pub(crate) fn absorb_reorder(&mut self, rs: tbf_bdd::ReorderStats) {
-        self.reorders += rs.reorders;
-        self.reorder_nodes_before += rs.nodes_before;
-        self.reorder_nodes_after += rs.nodes_after;
-        self.reorder_time_ms += rs.time_ms;
     }
 
     /// Samples one engine's memory telemetry into this record: peaks
@@ -408,10 +384,8 @@ mod tests {
     fn stats_equality_ignores_representation_telemetry() {
         let a = SearchStats {
             peak_bdd_nodes: 10,
-            reorders: 2,
-            reorder_nodes_before: 500,
-            reorder_nodes_after: 100,
-            reorder_time_ms: 3,
+            peak_arena_nodes: 500,
+            gc_sweeps: 2,
             ..SearchStats::default()
         };
         let b = SearchStats {
@@ -424,22 +398,6 @@ mod tests {
             ..SearchStats::default()
         };
         assert_ne!(a, c, "search-effort counters still distinguish");
-    }
-
-    #[test]
-    fn merge_adds_reorder_counters() {
-        let mut a = SearchStats {
-            reorders: 1,
-            reorder_nodes_before: 10,
-            reorder_nodes_after: 4,
-            reorder_time_ms: 2,
-            ..SearchStats::default()
-        };
-        a.merge(&a.clone());
-        assert_eq!(a.reorders, 2);
-        assert_eq!(a.reorder_nodes_before, 20);
-        assert_eq!(a.reorder_nodes_after, 8);
-        assert_eq!(a.reorder_time_ms, 4);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use tbf_bdd::{transfer, Bdd, BddManager, Cube, OpAbort, OpBudget, Var};
+use tbf_bdd::{Bdd, Cube, OpAbort, OpBudget};
 use tbf_logic::{Netlist, NodeId, Time};
 use tbf_lp::{PathLp, PathLpOutcome};
 
@@ -272,64 +272,31 @@ fn check_interval(
     Ok(best)
 }
 
-/// Enumerates the difference cubes of `projected` in the canonical
-/// (variable-identity) order, regardless of how the manager is currently
-/// ordered.
+/// Enumerates the difference cubes of `projected`, stopping at the
+/// `max_cubes` cap.
 ///
 /// Cube enumeration walks the ROBDD top-down, so the cube *sequence*
-/// follows the current variable order — and the sequence decides LP
-/// tie-breaks, the early exit at `t = b`, and which cubes a `max_cubes`
-/// overflow truncates. To keep reports byte-identical under every
-/// [`ReorderPolicy`](tbf_bdd::ReorderPolicy), a reordered manager's
-/// function is first rebuilt in an identity-ordered scratch manager
-/// (canonicity makes the rebuilt ROBDD — hence the cube sequence —
-/// exactly the one an unreordered run enumerates).
+/// follows the variable order — and the sequence decides LP tie-breaks,
+/// the early exit at `t = b`, and which cubes a `max_cubes` overflow
+/// truncates. The engine never reorders, so that order is the layout's
+/// creation order and the sequence is fixed by the cone alone.
 pub(crate) fn canonical_cubes(
-    cx: &mut ConeContext,
+    cx: &ConeContext,
     projected: Bdd,
     b: Time,
 ) -> Result<Vec<Cube>, DelayError> {
-    let too_many = |limit: usize| DelayError::TooManyCubes {
-        limit,
-        at_breakpoint: b,
-        bounds: (Time::ZERO, b),
-    };
+    debug_assert!(cx.manager.is_identity_order());
     let max_cubes = cx.budget.max_cubes();
     let mut cubes = Vec::new();
-    let push = |cubes: &mut Vec<Cube>, cube: Cube| -> Result<(), DelayError> {
+    for cube in cx.manager.cubes(projected) {
         if cubes.len() >= max_cubes || fault::trip(Site::CubeEnum) {
-            return Err(too_many(max_cubes));
+            return Err(DelayError::TooManyCubes {
+                limit: max_cubes,
+                at_breakpoint: b,
+                bounds: (Time::ZERO, b),
+            });
         }
         cubes.push(cube);
-        Ok(())
-    };
-    if cx.manager.is_identity_order() {
-        for cube in cx.manager.cubes(projected) {
-            push(&mut cubes, cube)?;
-        }
-    } else {
-        let mut scratch = BddManager::new();
-        // The scratch rebuild is real BDD work; count it with the rest.
-        #[cfg(feature = "obs")]
-        scratch.set_counters(Arc::clone(cx.budget.counters()));
-        let var_map: Vec<Var> = (0..cx.manager.var_count())
-            .map(|_| scratch.new_var())
-            .collect();
-        let moved = transfer(
-            &mut cx.manager,
-            projected,
-            &mut scratch,
-            &var_map,
-            cx.budget.max_bdd_nodes(),
-        )
-        .map_err(|e| DelayError::BddTooLarge {
-            limit: e.limit,
-            at_breakpoint: b,
-            bounds: (Time::ZERO, b),
-        })?;
-        for cube in scratch.cubes(moved) {
-            push(&mut cubes, cube)?;
-        }
     }
     Ok(cubes)
 }
@@ -381,9 +348,8 @@ fn extract_witness(
     if fault::trip(Site::XorSat) {
         g = tbf_bdd::Bdd::FALSE;
     }
-    // The lexicographically minimal satisfying cube (in variable-identity
-    // order) is order-independent, so the witness stays byte-identical
-    // under any reorder policy.
+    // The lexicographically minimal satisfying cube in variable-identity
+    // order: a deterministic pick among the satisfying inputs.
     let sat = cx.manager.min_sat_cube(g).ok_or(DelayError::Internal {
         detail: "witness extraction: xor BDD unsatisfiable in a feasible interval",
         at_breakpoint: b,

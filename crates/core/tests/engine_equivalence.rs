@@ -1,9 +1,8 @@
 //! Engine-equivalence goldens: the refactor's safety net.
 //!
 //! Every circuit here has its full `CircuitReport` Display output
-//! committed under `tests/goldens/`. The test renders the report for
-//! every cell of the `{1,4} threads × {none, on-pressure} reorder`
-//! matrix and asserts each cell is byte-identical to the golden — so
+//! committed under `tests/goldens/`. The test renders the report at 1
+//! and 4 threads and asserts each is byte-identical to the golden — so
 //! any engine change that perturbs a reported value (delay, bounds,
 //! breakpoint/LP/retry counts, witness) fails loudly with a diff.
 //!
@@ -20,7 +19,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use tbf_core::{analyze, AnalysisPolicy, DelayOptions, ReorderPolicy};
+use tbf_core::{analyze, AnalysisPolicy};
 use tbf_logic::generators::adders::{carry_bypass, paper_bypass_adder, ripple_carry};
 use tbf_logic::generators::figures::{figure1_three_paths, figure4_example3, figure6_glitch};
 use tbf_logic::generators::random::random_dag;
@@ -29,23 +28,6 @@ use tbf_logic::generators::unit_ninety_percent;
 use tbf_logic::parsers::bench::c17;
 use tbf_logic::parsers::mcnc_like_delays;
 use tbf_logic::Netlist;
-
-/// The CLI's `--reorder pressure` policy: installed but (at these
-/// circuit sizes) never firing, so it must not move a single byte.
-fn pressure() -> ReorderPolicy {
-    ReorderPolicy::OnPressure {
-        trigger_nodes: 50_000,
-        max_growth: 120,
-    }
-}
-
-fn policy(threads: usize, reorder: ReorderPolicy) -> AnalysisPolicy {
-    AnalysisPolicy::with_options(DelayOptions {
-        reorder,
-        ..DelayOptions::default()
-    })
-    .with_threads(threads)
-}
 
 /// The golden suite: the paper's figure circuits, c17, the generator
 /// family, and one seeded random DAG. Names key the golden files, so
@@ -71,19 +53,15 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.txt"))
 }
 
-/// Renders the full matrix for one circuit, asserting every cell is
-/// identical to the `threads=1, reorder=None` baseline first.
+/// Renders one circuit's report, asserting the 4-thread report is
+/// identical to the sequential one first.
 fn render_matrix(name: &str, netlist: &Netlist) -> String {
-    let baseline = format!("{}\n", analyze(netlist, &policy(1, ReorderPolicy::None)));
-    for threads in [1, 4] {
-        for reorder in [ReorderPolicy::None, pressure()] {
-            let cell = format!("{}\n", analyze(netlist, &policy(threads, reorder)));
-            assert_eq!(
-                cell, baseline,
-                "{name}: report differs at threads={threads} reorder={reorder:?}"
-            );
-        }
-    }
+    let baseline = format!("{}\n", analyze(netlist, &AnalysisPolicy::default()));
+    let parallel = format!(
+        "{}\n",
+        analyze(netlist, &AnalysisPolicy::default().with_threads(4))
+    );
+    assert_eq!(parallel, baseline, "{name}: report differs at threads=4");
     baseline
 }
 

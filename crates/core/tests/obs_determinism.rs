@@ -3,12 +3,12 @@
 //! The contract under test: instrumentation observes the analysis
 //! without perturbing it, and everything it records — counter totals,
 //! histograms, and the phase tree — is **byte-identical** across worker
-//! thread counts and across reorder policies that never fire, because
-//! every cone does identical logical work on a fresh engine and the
-//! phase subtrees are merged on join in netlist output order.
+//! thread counts, because every cone does identical logical work on a
+//! fresh engine and the phase subtrees are merged on join in netlist
+//! output order.
 
 use tbf_core::obs::{observe, RunObservation};
-use tbf_core::{analyze, AnalysisPolicy, DelayOptions, ReorderPolicy};
+use tbf_core::{analyze, AnalysisPolicy, DelayOptions};
 use tbf_logic::generators::adders::{carry_bypass, paper_bypass_adder, ripple_carry};
 use tbf_logic::generators::figures::{figure1_three_paths, figure4_example3, figure6_glitch};
 use tbf_logic::generators::random::random_dag;
@@ -19,22 +19,8 @@ use tbf_logic::parsers::mcnc_like_delays;
 use tbf_logic::{DelayBounds, Netlist, Time};
 use tbf_obs::{phase, Metric};
 
-/// A `--reorder pressure`-like policy whose trigger is far above what
-/// the test circuits allocate, mirroring the CLI's fixed trigger: the
-/// policy is installed but never fires, so counters must not move.
-fn pressure() -> ReorderPolicy {
-    ReorderPolicy::OnPressure {
-        trigger_nodes: 50_000,
-        max_growth: 120,
-    }
-}
-
-fn policy(threads: usize, reorder: ReorderPolicy) -> AnalysisPolicy {
-    AnalysisPolicy::with_options(DelayOptions {
-        reorder,
-        ..DelayOptions::default()
-    })
-    .with_threads(threads)
+fn policy(threads: usize) -> AnalysisPolicy {
+    AnalysisPolicy::default().with_threads(threads)
 }
 
 /// The deterministic fingerprint of one observed run: counter snapshot
@@ -58,10 +44,9 @@ fn circuits() -> Vec<Netlist> {
 }
 
 #[test]
-fn counters_and_phases_identical_across_threads_and_reorder() {
+fn counters_and_phases_identical_across_threads() {
     for netlist in circuits() {
-        let (baseline_report, baseline_obs) =
-            observe(|| analyze(&netlist, &policy(1, ReorderPolicy::None)));
+        let (baseline_report, baseline_obs) = observe(|| analyze(&netlist, &policy(1)));
         let baseline = fingerprint(&baseline_obs);
         assert!(
             baseline_obs.counters.get(Metric::IteCalls) > 0,
@@ -72,18 +57,16 @@ fn counters_and_phases_identical_across_threads_and_reorder() {
             "phase tree must be captured"
         );
         for threads in [1, 2, 8] {
-            for reorder in [ReorderPolicy::None, pressure()] {
-                let (report, obs) = observe(|| analyze(&netlist, &policy(threads, reorder)));
-                assert_eq!(
-                    report, baseline_report,
-                    "report must not depend on threads={threads} reorder={reorder:?}"
-                );
-                assert_eq!(
-                    fingerprint(&obs),
-                    baseline,
-                    "counters/phases must not depend on threads={threads} reorder={reorder:?}"
-                );
-            }
+            let (report, obs) = observe(|| analyze(&netlist, &policy(threads)));
+            assert_eq!(
+                report, baseline_report,
+                "report must not depend on threads={threads}"
+            );
+            assert_eq!(
+                fingerprint(&obs),
+                baseline,
+                "counters/phases must not depend on threads={threads}"
+            );
         }
     }
 }
@@ -91,8 +74,8 @@ fn counters_and_phases_identical_across_threads_and_reorder() {
 #[test]
 fn observation_does_not_perturb_the_report() {
     for netlist in circuits() {
-        let plain = analyze(&netlist, &policy(2, ReorderPolicy::None));
-        let (observed, _) = observe(|| analyze(&netlist, &policy(2, ReorderPolicy::None)));
+        let plain = analyze(&netlist, &policy(2));
+        let (observed, _) = observe(|| analyze(&netlist, &policy(2)));
         assert_eq!(plain, observed, "observe() must be a pure wrapper");
     }
 }
@@ -108,7 +91,7 @@ fn cone_subtrees_attach_in_netlist_output_order() {
     for threads in [1, 4] {
         // The cone subtrees attach directly under the observe root (the
         // CLI nests them under a model phase instead).
-        let (_, obs) = observe(|| analyze(&netlist, &policy(threads, ReorderPolicy::None)));
+        let (_, obs) = observe(|| analyze(&netlist, &policy(threads)));
         let cones: Vec<&str> = obs.phases.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(cones, outputs, "threads={threads}");
     }
@@ -116,7 +99,7 @@ fn cone_subtrees_attach_in_netlist_output_order() {
 
 #[test]
 fn per_cone_budget_polls_land_in_their_cone_span() {
-    let (_, obs) = observe(|| analyze(&paper_bypass_adder(), &policy(1, ReorderPolicy::None)));
+    let (_, obs) = observe(|| analyze(&paper_bypass_adder(), &policy(1)));
     let total: u64 = obs.phases.iter().map(|c| c.budget_polls).sum();
     assert!(total > 0, "cones must record their budget polls");
     assert!(

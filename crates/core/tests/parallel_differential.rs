@@ -1,10 +1,9 @@
 //! Differential determinism: the parallel driver must return a
 //! byte-identical [`CircuitReport`] — delays, bounds, statuses, output
-//! order, witness and stats — for every worker count *and* every
-//! [`ReorderPolicy`]. Worker scheduling may reorder the *work*, and
-//! sifting may reorder the *BDD variables*, but never the *result*.
+//! order, witness and stats — for every worker count. Worker scheduling
+//! may reorder the *work*, but never the *result*.
 
-use tbf_core::{analyze, two_vector_delay, AnalysisPolicy, DelayOptions, ReorderPolicy};
+use tbf_core::{analyze, two_vector_delay, AnalysisPolicy, DelayOptions};
 use tbf_logic::generators::adders::{carry_bypass, paper_bypass_adder, ripple_carry};
 use tbf_logic::generators::figures::{figure1_three_paths, figure4_example3};
 use tbf_logic::generators::random::random_dag;
@@ -14,37 +13,6 @@ use tbf_logic::{DelayBounds, GateKind, Netlist, Time};
 use tbf_sim::{simulate, Stimulus};
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 0];
-
-/// Every reorder policy the engines accept. The pressure trigger is set
-/// absurdly low so on-pressure sifts actually fire mid-build on these
-/// small circuits.
-fn reorder_policies() -> [ReorderPolicy; 3] {
-    [
-        ReorderPolicy::None,
-        ReorderPolicy::OnPressure {
-            trigger_nodes: 64,
-            max_growth: 150,
-        },
-        ReorderPolicy::Manual,
-    ]
-}
-
-/// Asserts `analyze` is invariant across the full `reorder × threads`
-/// grid, against the unreordered sequential baseline.
-fn assert_reorder_invariant(netlist: &Netlist, base: &AnalysisPolicy, label: &str) {
-    let baseline = analyze(netlist, base);
-    for reorder in reorder_policies() {
-        for threads in [1, 4] {
-            let mut policy = base.clone().with_threads(threads);
-            policy.options.reorder = reorder;
-            let report = analyze(netlist, &policy);
-            assert_eq!(
-                baseline, report,
-                "{label}: reorder={reorder:?} threads={threads} diverged from baseline"
-            );
-        }
-    }
-}
 
 /// Asserts `analyze` under `policy` is invariant across worker counts,
 /// returning the sequential report for further checks.
@@ -102,80 +70,25 @@ fn degraded_cones_are_thread_invariant() {
 }
 
 #[test]
-fn paper_figures_are_reorder_invariant() {
-    let policy = AnalysisPolicy::default();
-    assert_reorder_invariant(&figure4_example3(), &policy, "figure4");
-    assert_reorder_invariant(&figure1_three_paths(), &policy, "figure1");
-}
-
-#[test]
-fn bypass_adders_are_reorder_invariant() {
-    let policy = AnalysisPolicy::default();
-    assert_reorder_invariant(&paper_bypass_adder(), &policy, "paper bypass adder");
-    let unit = DelayBounds::fixed(Time::from_int(1));
-    assert_reorder_invariant(&carry_bypass(2, 3, unit), &policy, "bypass 2x3");
-    assert_reorder_invariant(&ripple_carry(6, unit), &policy, "ripple 6");
-}
-
-#[test]
-fn parity_trees_are_reorder_invariant() {
-    // XOR-rich cones are the most order-sensitive shape we have; the
-    // report must not care.
+fn parity_trees_are_thread_invariant() {
+    // XOR-rich cones: the most BDD-heavy shape per gate we have.
     let policy = AnalysisPolicy::default();
     let n = parity_tree(
         8,
         DelayBounds::new(Time::from_units(0.9), Time::from_int(1)),
     );
-    assert_reorder_invariant(&n, &policy, "parity 8");
+    assert_thread_invariant(&n, &policy, "parity 8");
 }
 
 #[test]
-fn random_dag_sweep_is_reorder_invariant() {
-    let policy = AnalysisPolicy::default();
-    for seed in [1, 7, 23, 40, 91] {
-        let n = random_dag(6, 24, 3, seed);
-        assert_reorder_invariant(&n, &policy, &format!("random_dag seed {seed}"));
-    }
-}
-
-#[test]
-fn sweeping_builds_are_cross_config_invariant() {
-    // Threads × reorder on circuits on both sides of the GC pressure
-    // trigger, every cell against one unreordered sequential baseline.
-    // The 4×4 bypass adder crosses the trigger, so its builds really
-    // sweep mid-build; the parity tree stays under it.
+fn sweeping_builds_are_thread_invariant() {
+    // Circuits on both sides of the GC pressure trigger. The 4×4 bypass
+    // adder crosses the trigger, so its builds really sweep mid-build;
+    // the parity tree stays under it.
     let d = DelayBounds::new(Time::from_units(0.9), Time::from_int(1));
-    let circuits = [
-        (carry_bypass(4, 4, d), "bypass 4x4"),
-        (parity_tree(8, d), "parity 8"),
-    ];
-    for (netlist, label) in &circuits {
-        let baseline = analyze(netlist, &AnalysisPolicy::default());
-        // CLI-scale pressure trigger: it fires a handful of times on
-        // the adder (a tiny trigger would sift thousands of times on
-        // a 100k-node build and drown the suite) and composes with
-        // the GC sweeps happening at the same safe points.
-        for reorder in [
-            ReorderPolicy::None,
-            ReorderPolicy::OnPressure {
-                trigger_nodes: 50_000,
-                max_growth: 120,
-            },
-        ] {
-            for threads in [1, 4] {
-                let policy = AnalysisPolicy::with_options(DelayOptions {
-                    reorder,
-                    ..DelayOptions::default()
-                })
-                .with_threads(threads);
-                let report = analyze(netlist, &policy);
-                assert_eq!(
-                    baseline, report,
-                    "{label}: reorder={reorder:?} threads={threads} diverged"
-                );
-            }
-        }
-    }
+    let policy = AnalysisPolicy::default();
+    assert_thread_invariant(&carry_bypass(4, 4, d), &policy, "bypass 4x4");
+    assert_thread_invariant(&parity_tree(8, d), &policy, "parity 8");
 }
 
 /// A distilled carry-bypass: a `stages`-deep AND ripple chain muxed
@@ -230,7 +143,7 @@ fn deep_false_path_cone_is_exact_witnessed_and_invariant() {
     let sim = simulate(&n, &w.delays, &stim.waveforms(&n));
     let out = n.outputs()[0].1;
     assert_eq!(sim.waveform(out).last_transition(), Some(Time::from_int(3)));
-    assert_reorder_invariant(&n, &AnalysisPolicy::default(), "bypass chain 66");
+    assert_thread_invariant(&n, &AnalysisPolicy::default(), "bypass chain 66");
 }
 
 #[cfg(feature = "fault-injection")]
@@ -240,7 +153,8 @@ mod under_faults {
 
     /// Injected faults are snapshotted at `analyze()` entry and re-armed
     /// per cone, so a fault schedule produces the same report whatever
-    /// the worker count.
+    /// the worker count. Transient faults (`once_at`) exercise the
+    /// ladder's retry and fallback rungs on the way.
     #[test]
     fn fault_schedules_are_thread_invariant() {
         let sites = [
@@ -263,42 +177,6 @@ mod under_faults {
                         sequential, parallel,
                         "site {site:?} after {after}: threads={threads} diverged"
                     );
-                }
-            }
-        }
-    }
-
-    /// Transient faults (`once_at`) exercise the ladder — including the
-    /// reorder-and-retry rung on `BddOp` faults — and the recovered
-    /// report must still be identical at every `(reorder, threads)`
-    /// cell. (Persistent-pressure scenarios are excluded on purpose:
-    /// there the rung legitimately runs once more than an unreordered
-    /// ladder would.)
-    #[test]
-    fn fault_schedules_are_reorder_invariant() {
-        let sites = [
-            Site::BddOp,
-            Site::PathCollect,
-            Site::CubeEnum,
-            Site::Breakpoint,
-            Site::ConeStart,
-        ];
-        let n = paper_bypass_adder();
-        for site in sites {
-            for after in [0, 2] {
-                let plan = || FaultPlan::new().once_at(site, after);
-                let baseline = with_plan(plan(), || analyze(&n, &AnalysisPolicy::default()));
-                for reorder in reorder_policies() {
-                    for threads in [1, 4] {
-                        let mut policy = AnalysisPolicy::default().with_threads(threads);
-                        policy.options.reorder = reorder;
-                        let report = with_plan(plan(), || analyze(&n, &policy));
-                        assert_eq!(
-                            baseline, report,
-                            "site {site:?} after {after}: reorder={reorder:?} \
-                             threads={threads} diverged"
-                        );
-                    }
                 }
             }
         }

@@ -8,9 +8,9 @@
 //! * every other section appears in the order the producer added it,
 //!   **except** `timing`, which is always serialized last;
 //! * every section except `timing` is deterministic — byte-identical
-//!   across thread counts, reorder policies, machines, and runs — so a
-//!   consumer may diff artifacts after dropping the final `timing`
-//!   member (see [`RunArtifact::deterministic_view`]).
+//!   across thread counts, machines, and runs — so a consumer may diff
+//!   artifacts after dropping the final `timing` member (see
+//!   [`RunArtifact::deterministic_view`]).
 //!
 //! Versioning policy: `version` bumps on any change that removes or
 //! re-types an existing key; purely additive keys keep the version.

@@ -7,8 +7,7 @@
 //!   [`Histogram`]) — lock-free atomic tallies of *logical work*
 //!   (ITE calls, cache hits, nodes allocated, sift swaps). Because the
 //!   engines' work is deterministic and u64 addition is commutative,
-//!   counter totals are byte-identical at every thread count and every
-//!   reordering policy that performs the same logical work.
+//!   counter totals are byte-identical at every thread count.
 //! * **Volatile timing** — wall-clock figures attached to the phase
 //!   tree ([`phase`]), kept in a separate artifact section so the
 //!   deterministic sections of a [`RunArtifact`] can be diffed across

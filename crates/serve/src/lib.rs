@@ -42,8 +42,8 @@
 //! # Determinism
 //!
 //! The `result` member of every response depends only on the request
-//! batch prefix before it — not on thread count, reorder pressure,
-//! recovered faults, or mid-batch restarts. Volatile telemetry is
+//! batch prefix before it — not on thread count, recovered faults, or
+//! mid-batch restarts. Volatile telemetry is
 //! confined to the `effort` member, which
 //! [`protocol::deterministic_view`] strips for comparisons.
 //!
@@ -85,4 +85,4 @@ pub use session::{ServeConfig, Session, SessionMetrics};
 pub use workspace::{SessionWorkspace, WorkspaceStats};
 // Re-exported so servers can build `ServeConfig::defaults` without
 // depending on tbf-core directly.
-pub use tbf_core::{DelayOptions, ReorderPolicy};
+pub use tbf_core::DelayOptions;

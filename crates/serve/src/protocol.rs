@@ -12,7 +12,7 @@
 //!
 //! ```json
 //! {"id":"r1","circuit":"INPUT(a)\n...","format":"bench","model":"anytime",
-//!  "deadline_ms":100,"options":{"max_paths":20000,"reorder":"pressure"}}
+//!  "deadline_ms":100,"options":{"max_paths":20000,"cache":false}}
 //! ```
 //!
 //! * `id` — required string, echoed in the response.
@@ -25,12 +25,12 @@
 //!   AIGER must come in via `path` (JSON strings cannot carry it).
 //! * `delays` — `mcnc` (default) or `unit`.
 //! * `model` — only `anytime` in schema v1.
-//! * `deadline_ms` — per-request wall-clock budget; the effective
-//!   deadline is the earlier of this and the session deadline.
+//! * `deadline_ms` — per-request wall-clock budget (unsigned integer);
+//!   the effective deadline is the earlier of this and the session
+//!   deadline.
 //! * `options` — engine caps: `max_paths`, `max_bdd`, `max_cubes`,
-//!   `reorder` (`off`/`manual`/`pressure`), and `cache` (bool:
-//!   per-request opt-out of the session's warm cache). Unknown members
-//!   are ignored.
+//!   `threads`, and `cache` (bool: per-request opt-out of the session's
+//!   warm cache). Unknown members are ignored.
 //! * `session` — optional ECO session name. On an analyze request it
 //!   establishes (or re-bases) the named incremental session; see
 //!   [`crate::workspace`].
@@ -41,6 +41,9 @@
 //!   object `{"name":"tbf-serve-request","version":1}`. Unknown versions
 //!   are rejected with a typed error.
 //!
+//! A known member present with the wrong JSON type is a `bad_request`
+//! that names the member; it is never read as absent.
+//!
 //! # Response shape
 //!
 //! ```json
@@ -49,15 +52,14 @@
 //! ```
 //!
 //! The `result` member is **deterministic**: byte-identical across
-//! worker-thread counts, reorder policies, and recovered injected
-//! faults. The `effort` member carries retry/cache telemetry that may
-//! legitimately differ between a cold and a warm (or fault-injected)
-//! run; consumers comparing runs drop it (see
-//! [`deterministic_view`]).
+//! worker-thread counts and recovered injected faults. The `effort`
+//! member carries retry/cache telemetry that may legitimately differ
+//! between a cold and a warm (or fault-injected) run; consumers
+//! comparing runs drop it (see [`deterministic_view`]).
 
 use std::fmt;
 
-use tbf_core::{CircuitReport, DelayOptions, OutputStatus, ReorderPolicy};
+use tbf_core::{CircuitReport, DelayOptions, OutputStatus};
 use tbf_logic::parsers::{mcnc_like_delays, unit_delays};
 use tbf_logic::{Format, Netlist};
 use tbf_obs::json::Value;
@@ -70,12 +72,6 @@ pub const REQUEST_SCHEMA: &str = "tbf-serve-request";
 
 /// Current protocol version (bumped on breaking key changes only).
 pub const SCHEMA_VERSION: u64 = 1;
-
-/// The `--reorder pressure` trigger mirrored from the CLI defaults.
-const PRESSURE_TRIGGER_NODES: usize = 50_000;
-
-/// The `--reorder pressure` growth tolerance (percent).
-const PRESSURE_MAX_GROWTH: usize = 120;
 
 /// A typed request-boundary failure. Each variant renders as a one-line
 /// error response with a stable `kind` tag; none of them terminate the
@@ -167,9 +163,9 @@ pub struct Request {
     pub id: String,
     /// The parsed circuit.
     pub netlist: Netlist,
-    /// Warm-cache key: the netlist's structural signature plus the
-    /// delay-model tag (results are exact, so engine caps are not part
-    /// of the key — an exact answer is cap-independent).
+    /// Warm-cache key: the netlist's structural signature, which carries
+    /// every scaled gate delay (results are exact, so engine caps are not
+    /// part of the key — an exact answer is cap-independent).
     pub cache_key: Vec<u8>,
     /// Engine caps and per-request deadline.
     pub options: DelayOptions,
@@ -192,10 +188,6 @@ pub struct Request {
     pub session: Option<String>,
     /// Whether this is a `"kind":"eco"` request (requires `session`).
     pub eco: bool,
-    /// The engine-option fingerprint (delay-model tag, reorder policy)
-    /// — the non-structural suffix of `cache_key`. Sessions pin this at
-    /// establishment.
-    pub options_key: Vec<u8>,
 }
 
 /// Frame-level limits consulted before a byte of JSON is parsed.
@@ -283,6 +275,18 @@ pub fn parse_request(
         }
     };
     let fail = |e: ServeError| (Some(id.clone()), e);
+    // A member that is present must have its documented type: reading a
+    // mistyped member as absent would silently serve a default.
+    let text = |name: &str| -> Result<Option<&str>, (Option<String>, ServeError)> {
+        match doc.get(name) {
+            None => Ok(None),
+            Some(v) => v.as_str().map(Some).ok_or_else(|| {
+                fail(ServeError::BadRequest {
+                    detail: format!("`{name}` must be a string"),
+                })
+            }),
+        }
+    };
 
     // Schema negotiation: absent means v1; an integer or an
     // artifact-style object are both accepted.
@@ -317,7 +321,7 @@ pub fn parse_request(
         }
     }
 
-    match doc.get("model").and_then(Value::as_str) {
+    match text("model")? {
         None | Some("anytime") => {}
         Some(other) => {
             return Err(fail(ServeError::BadRequest {
@@ -355,8 +359,8 @@ pub fn parse_request(
         }));
     }
 
-    let inline = doc.get("circuit").and_then(Value::as_str);
-    let path = doc.get("path").and_then(Value::as_str);
+    let inline = text("circuit")?;
+    let path = text("path")?;
     let (bytes, inferred) = match (inline, path) {
         (Some(_), Some(_)) => {
             return Err(fail(ServeError::BadRequest {
@@ -386,7 +390,7 @@ pub fn parse_request(
             (bytes, inferred)
         }
     };
-    let format = match doc.get("format").and_then(Value::as_str) {
+    let format = match text("format")? {
         None => inferred.unwrap_or(Format::Bench),
         Some(name) => match Format::from_name(name) {
             Some(f) => f,
@@ -397,18 +401,14 @@ pub fn parse_request(
             }
         },
     };
-    let delays = match doc.get("delays").and_then(Value::as_str) {
-        None => "mcnc",
-        Some(d @ ("mcnc" | "unit")) => d,
+    let delay_fn = match text("delays")? {
+        None | Some("mcnc") => mcnc_like_delays as fn(_, _) -> _,
+        Some("unit") => unit_delays as fn(_, _) -> _,
         Some(other) => {
             return Err(fail(ServeError::BadRequest {
                 detail: format!("unknown delay model `{other}` (mcnc|unit)"),
             }))
         }
-    };
-    let delay_fn = match delays {
-        "unit" => unit_delays as fn(_, _) -> _,
-        _ => mcnc_like_delays as fn(_, _) -> _,
     };
     let netlist = tbf_logic::parse_netlist(format, &bytes, delay_fn).map_err(|e| {
         fail(ServeError::BadRequest {
@@ -418,7 +418,12 @@ pub fn parse_request(
 
     let mut options = defaults.clone();
     let mut has_deadline = false;
-    if let Some(ms) = doc.get("deadline_ms").and_then(Value::as_u64) {
+    if let Some(v) = doc.get("deadline_ms") {
+        let ms = v.as_u64().ok_or_else(|| {
+            fail(ServeError::BadRequest {
+                detail: "`deadline_ms` must be an unsigned integer".to_owned(),
+            })
+        })?;
         options.time_budget = Some(std::time::Duration::from_millis(ms));
         has_deadline = true;
     }
@@ -465,41 +470,13 @@ pub fn parse_request(
                 }
             }
         }
-        if let Some(r) = opts.get("reorder") {
-            options.reorder = match r.as_str() {
-                Some("off") => ReorderPolicy::None,
-                Some("manual") => ReorderPolicy::Manual,
-                Some("pressure") => ReorderPolicy::OnPressure {
-                    trigger_nodes: PRESSURE_TRIGGER_NODES,
-                    max_growth: PRESSURE_MAX_GROWTH,
-                },
-                _ => {
-                    return Err(fail(ServeError::BadRequest {
-                        detail: "`options.reorder` must be off|manual|pressure".to_owned(),
-                    }))
-                }
-            };
-        }
     }
 
-    // Exact results are delay-model- and structure-determined; the caps
+    // Exact results are determined by the structure and the scaled
+    // delays, both of which the structural signature carries; the caps
     // only decide whether exactness is *reached*, so they stay out of
-    // the key (only all-exact reports are ever cached). The reorder
-    // policy IS keyed: a warm hit must only ever be served to a request
-    // that would have recomputed it under the same engine configuration.
-    // The same fingerprint pins an ECO session's engine configuration:
-    // retained per-cone results are exactly as configuration-dependent
-    // as warm whole-circuit results, so the session key must agree.
-    let mut options_key = vec![0xFE];
-    options_key.extend_from_slice(delays.as_bytes());
-    options_key.push(0xFD);
-    options_key.push(match options.reorder {
-        ReorderPolicy::None => 0,
-        ReorderPolicy::Manual => 1,
-        ReorderPolicy::OnPressure { .. } => 2,
-    });
-    let mut cache_key = netlist.structural_signature();
-    cache_key.extend_from_slice(&options_key);
+    // the key (only all-exact reports are ever cached).
+    let cache_key = netlist.structural_signature();
     Ok(Request {
         id,
         netlist,
@@ -510,7 +487,6 @@ pub fn parse_request(
         has_deadline,
         session,
         eco,
-        options_key,
     })
 }
 
@@ -748,7 +724,7 @@ mod tests {
     #[test]
     fn options_override_defaults() {
         let line = format!(
-            r#"{{"id":"r","circuit":"{}","deadline_ms":50,"options":{{"max_paths":7,"threads":4,"cache":false,"reorder":"manual"}}}}"#,
+            r#"{{"id":"r","circuit":"{}","deadline_ms":50,"options":{{"max_paths":7,"threads":4,"cache":false}}}}"#,
             TINY.replace('\n', "\\n")
         );
         let r = parse(&line).expect("parses");
@@ -759,7 +735,6 @@ mod tests {
         );
         assert_eq!(r.threads, Some(4));
         assert!(!r.use_cache);
-        assert_eq!(r.options.reorder, ReorderPolicy::Manual);
     }
 
     #[test]
@@ -886,14 +861,6 @@ mod tests {
         )
         .expect("parses");
         assert!(eco.eco);
-        assert_eq!(
-            establish.options_key, eco.options_key,
-            "same options, same fingerprint"
-        );
-        assert!(
-            establish.cache_key.ends_with(&establish.options_key),
-            "the fingerprint is the cache key's non-structural suffix"
-        );
         for (line, kind) in [
             (
                 r#"{"id":"r","kind":"eco","circuit":"INPUT(a)\nOUTPUT(f)\nf = NOT(a)\n"}"#,

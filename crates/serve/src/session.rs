@@ -23,9 +23,9 @@
 //!
 //! The `result` member of every response depends only on the request
 //! batch prefix that precedes it (through the warm cache) — not on
-//! worker-thread count, reorder policy pressure, recovered injected
-//! faults, or whether the session restarted mid-batch. Volatile
-//! telemetry lives in the `effort` member, which consumers strip (see
+//! worker-thread count, recovered injected faults, or whether the
+//! session restarted mid-batch. Volatile telemetry lives in the
+//! `effort` member, which consumers strip (see
 //! [`crate::protocol::deterministic_view`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -285,15 +285,14 @@ impl Session {
 
         // Session routing: an analyze request carrying `session`
         // establishes (or re-bases) the named ECO session; an `eco`
-        // request must hit an existing one under matching options.
+        // request must hit an existing one.
         // Either way the warm result cache is bypassed below — session
         // reuse happens at cone granularity in the workspace.
         if let Some(name) = request.session.clone() {
             let routed = if request.eco {
-                self.workspace.route_eco(&name, &request.options_key)
+                self.workspace.route_eco(&name)
             } else {
-                self.workspace
-                    .establish(&name, &request.netlist, &request.options_key);
+                self.workspace.establish(&name, &request.netlist);
                 Ok(())
             };
             if let Err(detail) = routed {
@@ -761,44 +760,25 @@ mod tests {
     }
 
     #[test]
-    fn ablation_options_partition_the_warm_cache() {
-        // Every result-affecting engine option is part of the warm-cache
-        // key: a run under one reorder policy must never be answered
-        // from another policy's entry. Each configuration below is a
-        // cold miss even though the circuit never changes; its exact
-        // repeat is a hit.
+    fn no_option_member_partitions_the_warm_cache() {
+        // No engine option changes an exact result, so none is part of
+        // the warm-cache key: caps and thread counts only decide whether
+        // exactness is reached, and the retired engine knobs are unknown
+        // members that select nothing. Every variant below must hit the
+        // entry the `{}` run wrote.
         let mut s = Session::new(ServeConfig::default());
         let line = |id: &str, opts: &str| {
             format!(
                 r#"{{"id":"{id}","circuit":"INPUT(a)\nINPUT(b)\nOUTPUT(f)\nf = AND(a, b)\n","options":{opts}}}"#
             )
         };
-        let variants = [
-            r#"{}"#,
+        let cold = validate_response(&s.handle_line(&line("c", "{}"))).expect("valid");
+        assert_eq!(s.cache_stats().insertions, 1);
+        for (i, opts) in [
+            r#"{"max_paths":7}"#,
+            r#"{"threads":2}"#,
             r#"{"reorder":"pressure"}"#,
             r#"{"reorder":"manual"}"#,
-        ];
-        for (i, opts) in variants.iter().enumerate() {
-            let cold = s.handle_line(&line(&format!("c{i}"), opts));
-            assert_eq!(
-                s.cache_stats().hits,
-                i as u64,
-                "variant {opts} read another configuration's warm entry"
-            );
-            let warm = s.handle_line(&line(&format!("w{i}"), opts));
-            assert_eq!(
-                s.cache_stats().hits,
-                i as u64 + 1,
-                "exact repeat of {opts} missed the warm cache"
-            );
-            let a = validate_response(&cold).expect("valid");
-            let b = validate_response(&warm).expect("valid");
-            assert_eq!(a.get("result"), b.get("result"), "{opts}");
-        }
-        assert_eq!(s.cache_stats().insertions, variants.len() as u64);
-        // The retired engine knobs are unknown members now: they select
-        // nothing, so they must hit the `{}` entry.
-        for (i, opts) in [
             r#"{"gc":"off"}"#,
             r#"{"complement_edges":false}"#,
             r#"{"tbf_cache":"off"}"#,
@@ -807,14 +787,16 @@ mod tests {
         .enumerate()
         {
             let hits = s.cache_stats().hits;
-            let _ = s.handle_line(&line(&format!("r{i}"), opts));
+            let warm =
+                validate_response(&s.handle_line(&line(&format!("w{i}"), opts))).expect("valid");
             assert_eq!(
                 s.cache_stats().hits,
                 hits + 1,
                 "{opts} missed the `{{}}` entry"
             );
+            assert_eq!(cold.get("result"), warm.get("result"), "{opts}");
         }
-        assert_eq!(s.cache_stats().insertions, variants.len() as u64);
+        assert_eq!(s.cache_stats().insertions, 1);
     }
 
     #[test]
@@ -968,6 +950,31 @@ mod tests {
         assert_eq!(warm.cache_stats().hits + warm.cache_stats().insertions, 0);
         assert_eq!(warm.workspace_stats().cones_reused, 1);
         assert_eq!(warm.workspace_stats().cones_recomputed, 3);
+    }
+
+    #[test]
+    fn eco_under_another_delay_model_matches_a_cold_run() {
+        // Sessions pin no options: an `eco` request under unit delays
+        // against a session established under the default delay model
+        // is served, and its cones are reused only where the scaled
+        // delays left the slice signatures unchanged.
+        let mut warm = Session::new(ServeConfig::default());
+        let establish = format!(r#"{{"id":"e","session":"s","circuit":"{BASE2}"}}"#);
+        let _ = warm.handle_line(&establish);
+        let eco = format!(
+            r#"{{"id":"q","kind":"eco","session":"s","delays":"unit","circuit":"{EDIT2}"}}"#
+        );
+        let incremental = validate_response(&warm.handle_line(&eco)).expect("valid");
+        assert_eq!(incremental.get("status"), Some(&Value::str("ok")));
+
+        let mut cold = Session::new(ServeConfig::default());
+        let plain = format!(r#"{{"id":"q","delays":"unit","circuit":"{EDIT2}"}}"#);
+        let fresh = validate_response(&cold.handle_line(&plain)).expect("valid");
+        assert_eq!(
+            crate::protocol::deterministic_view(&incremental),
+            crate::protocol::deterministic_view(&fresh),
+            "incremental result must be byte-identical to a cold run"
+        );
     }
 
     #[test]

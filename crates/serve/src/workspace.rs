@@ -22,10 +22,10 @@
 //!   canonically. An edit inside a cone always flips its signature; an
 //!   edit outside never does; adding or removing an unrelated output
 //!   is invisible to the others.
-//! * Engine options (delay model tag, reorder policy) are pinned per
-//!   session at establishment. An `eco` request whose options disagree is a
-//!   `bad_request`; re-establishing with different options resets the
-//!   store (a fresh session under the same name).
+//! * Sessions pin no engine options. Exact cone results depend only on
+//!   the cone slice, so a request under any options (a different delay
+//!   model included: its scaled delays change the slice signatures) may
+//!   reuse whatever still matches.
 //! * A request-level panic inside an ECO attempt clears the session's
 //!   store — post-panic hygiene mirrors the warm result cache's poison
 //!   quarantine, with the session's own store as the blast radius.
@@ -44,11 +44,9 @@ use tbf_logic::Netlist;
 pub const ECO_STORE_CAPACITY: usize = 256;
 
 /// One named incremental session: the base netlist the next `eco`
-/// request diffs against, the retained exact cone results, and the
-/// options fingerprint every request to this session must match.
+/// request diffs against and the retained exact cone results.
 pub struct EcoSession {
     base: Netlist,
-    options_key: Vec<u8>,
     store: ConeStore,
     touched: u64,
 }
@@ -74,7 +72,7 @@ pub struct WorkspaceStats {
     pub sessions_created: u64,
     /// Sessions evicted by the LRU capacity bound.
     pub sessions_evicted: u64,
-    /// Stores cleared for post-panic hygiene or option re-basing.
+    /// Stores cleared for post-panic hygiene.
     pub resets: u64,
     /// Cones answered from retained results, across all sessions.
     pub cones_reused: u64,
@@ -116,21 +114,13 @@ impl SessionWorkspace {
     }
 
     /// Establishes (or refreshes) the named session for an analyze
-    /// request: the request's netlist becomes the base. Matching
-    /// options keep the retained store (unchanged cones stay warm
-    /// across a re-base); different options reset it — retained
-    /// results computed under another engine configuration must never
-    /// be merged into this one's reports.
-    pub fn establish(&mut self, name: &str, base: &Netlist, options_key: &[u8]) {
+    /// request: the request's netlist becomes the base. A re-base keeps
+    /// the retained store, so unchanged cones stay warm across it.
+    pub fn establish(&mut self, name: &str, base: &Netlist) {
         self.epoch += 1;
         let epoch = self.epoch;
         match self.sessions.get_mut(name) {
             Some(sess) => {
-                if sess.options_key != options_key {
-                    sess.store.clear();
-                    sess.options_key = options_key.to_owned();
-                    self.stats.resets += 1;
-                }
                 sess.base = base.clone();
                 sess.touched = epoch;
             }
@@ -140,7 +130,6 @@ impl SessionWorkspace {
                     name.to_owned(),
                     EcoSession {
                         base: base.clone(),
-                        options_key: options_key.to_owned(),
                         store: ConeStore::new(ECO_STORE_CAPACITY),
                         touched: epoch,
                     },
@@ -150,20 +139,15 @@ impl SessionWorkspace {
         }
     }
 
-    /// Routes an `eco` request: the named session must already exist
-    /// and must have been established under the same engine options.
+    /// Routes an `eco` request: the named session must already exist.
     /// Returns a deterministically worded rejection detail otherwise.
-    pub fn route_eco(&mut self, name: &str, options_key: &[u8]) -> Result<(), String> {
+    pub fn route_eco(&mut self, name: &str) -> Result<(), String> {
         self.epoch += 1;
         let epoch = self.epoch;
         match self.sessions.get_mut(name) {
             None => Err(format!(
                 "eco request names unknown session `{name}`; establish it first with an \
                  analyze request carrying `session`"
-            )),
-            Some(sess) if sess.options_key != options_key => Err(format!(
-                "eco request options disagree with session `{name}`'s; re-establish the \
-                 session to change engine options"
             )),
             Some(sess) => {
                 sess.touched = epoch;
@@ -209,7 +193,7 @@ impl SessionWorkspace {
     }
 
     /// Post-panic hygiene: clears the named session's retained store
-    /// (base and options survive — the client can retry immediately).
+    /// (the base survives — the client can retry immediately).
     pub fn clear_session(&mut self, name: &str) {
         if let Some(sess) = self.sessions.get_mut(name) {
             sess.store.clear();
@@ -251,39 +235,29 @@ mod tests {
                             f = AND(a, b)\ng = XOR(b, c)\n";
 
     #[test]
-    fn eco_requires_an_established_matching_session() {
+    fn eco_requires_an_established_session() {
         let mut ws = SessionWorkspace::new(4);
-        assert!(ws.route_eco("s", b"k").is_err(), "unknown session");
-        ws.establish("s", &net(TWO), b"k");
-        assert!(ws.route_eco("s", b"k").is_ok());
-        assert!(ws.route_eco("s", b"other").is_err(), "options mismatch");
+        assert!(ws.route_eco("s").is_err(), "unknown session");
+        ws.establish("s", &net(TWO));
+        assert!(ws.route_eco("s").is_ok());
         assert_eq!(ws.stats.sessions_created, 1);
     }
 
     #[test]
     fn changed_cones_counts_only_edited_slices() {
         let mut ws = SessionWorkspace::new(4);
-        ws.establish("s", &net(TWO), b"k");
+        ws.establish("s", &net(TWO));
         assert_eq!(ws.changed_cones("s", &net(TWO)), Some(0));
         assert_eq!(ws.changed_cones("s", &net(TWO_EDIT)), Some(1));
     }
 
     #[test]
-    fn rebasing_with_other_options_resets_the_store() {
-        let mut ws = SessionWorkspace::new(4);
-        ws.establish("s", &net(TWO), b"k");
-        ws.establish("s", &net(TWO), b"k2");
-        assert_eq!(ws.stats.resets, 1);
-        assert_eq!(ws.stats.sessions_created, 1, "same name, same session");
-    }
-
-    #[test]
     fn capacity_evicts_the_stalest_session() {
         let mut ws = SessionWorkspace::new(2);
-        ws.establish("a", &net(TWO), b"k");
-        ws.establish("b", &net(TWO), b"k");
-        ws.establish("a", &net(TWO), b"k"); // refresh a
-        ws.establish("c", &net(TWO), b"k"); // evicts b
+        ws.establish("a", &net(TWO));
+        ws.establish("b", &net(TWO));
+        ws.establish("a", &net(TWO)); // refresh a
+        ws.establish("c", &net(TWO)); // evicts b
         assert_eq!(ws.len(), 2);
         assert!(ws.session_mut("b").is_none());
         assert!(ws.session_mut("a").is_some());

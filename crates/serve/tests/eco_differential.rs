@@ -10,7 +10,7 @@
 //! with a plain analyze request. The deterministic `result` members
 //! must be byte-identical at every prefix of the script, and the whole
 //! response-line transcript must be byte-identical across worker-thread
-//! counts and reorder policies.
+//! counts.
 //!
 //! Seeds come from a fixed table; set `RANDOM_SEED=<u64>` (decimal or
 //! `0x`-hex) to add one more (CI's soak job passes its run id).
@@ -18,7 +18,6 @@
 use tbf_obs::json::Value;
 use tbf_serve::protocol::{deterministic_view, validate_response};
 use tbf_serve::session::{ServeConfig, Session};
-use tbf_serve::ReorderPolicy;
 
 /// Fixed seed table used by default and in CI's deterministic jobs.
 const SEEDS: [u64; 3] = [0x9e3779b97f4a7c15, 0xdeadbeefcafef00d, 0x0123456789abcdef];
@@ -295,13 +294,9 @@ fn frame(id: &str, kind: Option<&str>, session: Option<&str>, circuit: &str) -> 
     f
 }
 
-fn config(threads: usize, reorder: ReorderPolicy) -> ServeConfig {
+fn config(threads: usize) -> ServeConfig {
     ServeConfig {
         threads,
-        defaults: tbf_serve::DelayOptions {
-            reorder,
-            ..tbf_serve::DelayOptions::default()
-        },
         ..ServeConfig::default()
     }
 }
@@ -372,7 +367,7 @@ fn replay(seed: u64, cfg: &ServeConfig) -> (Vec<String>, u64, u64) {
 #[test]
 fn edit_scripts_match_cold_runs_at_every_prefix() {
     for seed in seeds() {
-        let (_, reused, recomputed) = replay(seed, &config(1, ReorderPolicy::None));
+        let (_, reused, recomputed) = replay(seed, &config(1));
         assert!(
             reused > 0,
             "seed {seed:#x}: a {SCRIPT_LEN}-edit script never reused a cone — the \
@@ -383,24 +378,14 @@ fn edit_scripts_match_cold_runs_at_every_prefix() {
 }
 
 #[test]
-fn transcripts_are_byte_identical_across_threads_and_reorder() {
-    let pressure = ReorderPolicy::OnPressure {
-        trigger_nodes: 50_000,
-        max_growth: 120,
-    };
+fn transcripts_are_byte_identical_across_threads() {
     for seed in seeds() {
-        let (baseline, ..) = replay(seed, &config(1, ReorderPolicy::None));
-        for (cfg, label) in [
-            (config(4, ReorderPolicy::None), "threads=4"),
-            (config(1, pressure), "reorder=pressure"),
-            (config(4, pressure), "threads=4 pressure"),
-        ] {
-            let (other, ..) = replay(seed, &cfg);
-            assert_eq!(
-                baseline, other,
-                "seed {seed:#x}: {label} changed the incremental transcript"
-            );
-        }
+        let (baseline, ..) = replay(seed, &config(1));
+        let (other, ..) = replay(seed, &config(4));
+        assert_eq!(
+            baseline, other,
+            "seed {seed:#x}: threads=4 changed the incremental transcript"
+        );
     }
 }
 

@@ -119,16 +119,52 @@ fn hostile_frames_get_typed_errors_and_the_session_survives() {
             true,
         ),
         (
-            format!(r#"{{"id":"b10","circuit":"{NOT1}","options":{{"reorder":"sometimes"}}}}"#),
-            "bad_request",
-            true,
-        ),
-        (
             format!(r#"{{"id":"b11","circuit":"{NOT1}","options":{{"cache":"yes"}}}}"#),
             "bad_request",
             true,
         ),
     ];
+    // Known members with the wrong JSON type: each is a bad request that
+    // names the member, never read as if it were absent.
+    let mistyped: Vec<(&str, String)> = vec![
+        (
+            "deadline_ms",
+            format!(r#"{{"id":"m1","circuit":"{NOT1}","deadline_ms":"0"}}"#),
+        ),
+        (
+            "deadline_ms",
+            format!(r#"{{"id":"m2","circuit":"{NOT1}","deadline_ms":-1}}"#),
+        ),
+        (
+            "deadline_ms",
+            format!(r#"{{"id":"m3","circuit":"{NOT1}","deadline_ms":1.5}}"#),
+        ),
+        (
+            "model",
+            format!(r#"{{"id":"m4","circuit":"{NOT1}","model":7}}"#),
+        ),
+        (
+            "delays",
+            format!(r#"{{"id":"m5","circuit":"{NOT1}","delays":false}}"#),
+        ),
+        (
+            "format",
+            format!(r#"{{"id":"m6","circuit":"{NOT1}","format":1}}"#),
+        ),
+        ("circuit", r#"{"id":"m7","circuit":5}"#.to_owned()),
+        (
+            "path",
+            format!(r#"{{"id":"m8","circuit":"{NOT1}","path":["x.bench"]}}"#),
+        ),
+    ];
+    let cases: Vec<(String, &str, bool)> = cases
+        .into_iter()
+        .chain(
+            mistyped
+                .iter()
+                .map(|(_, frame)| (frame.clone(), "bad_request", true)),
+        )
+        .collect();
 
     let mut session = Session::new(ServeConfig::default());
     for (frame, expected_kind, id_echoed) in &cases {
@@ -142,6 +178,12 @@ fn hostile_frames_get_typed_errors_and_the_session_survives() {
         );
         // One line, no raw control characters, valid UTF-8 by construction.
         assert!(!response.contains('\n'), "responses are single lines");
+        if let Some((member, _)) = mistyped.iter().find(|(_, f)| f == frame) {
+            assert!(
+                response.contains(&format!("`{member}` must be")),
+                "{frame}: the detail must name `{member}` → {response}"
+            );
+        }
     }
 
     // After the whole gauntlet the session still answers.
@@ -151,6 +193,19 @@ fn hostile_frames_get_typed_errors_and_the_session_survives() {
     assert_eq!(session.metrics().frames, cases.len() as u64 + 1);
     assert_eq!(session.metrics().errors, cases.len() as u64);
     assert_eq!(session.metrics().ok, 1);
+}
+
+#[test]
+fn retired_option_members_are_ignored() {
+    // `reorder` is not an option the engine reads, so like any unknown
+    // `options` member it is ignored, whatever its value.
+    let mut session = Session::new(ServeConfig::default());
+    for (i, opts) in [r#""sometimes""#, r#""pressure""#, "7"].iter().enumerate() {
+        let frame = format!(r#"{{"id":"r{i}","circuit":"{NOT1}","options":{{"reorder":{opts}}}}}"#);
+        let response = session.handle_line(&frame);
+        let doc = validate_response(&response).expect("valid");
+        assert_eq!(doc.get("status"), Some(&Value::str("ok")), "{response}");
+    }
 }
 
 #[test]

@@ -3,8 +3,7 @@
 //! The serve contract: the same request batch yields
 //!
 //! * **byte-identical response lines** across worker-thread counts
-//!   ({1, 4}) and reorder policies ({off, pressure}) — nothing in a
-//!   response may leak scheduling or representation choices;
+//!   ({1, 4}) — nothing in a response may leak scheduling choices;
 //! * **identical `result` members** when recoverable faults are seeded
 //!   (the `effort` member may differ — that is its job) — compared via
 //!   [`deterministic_view`];
@@ -15,7 +14,6 @@
 use tbf_obs::json::Value;
 use tbf_serve::protocol::{deterministic_view, validate_response};
 use tbf_serve::session::{ServeConfig, Session};
-use tbf_serve::ReorderPolicy;
 
 const C17: &str = "INPUT(g1)\nINPUT(g2)\nINPUT(g3)\nINPUT(g6)\nINPUT(g7)\nOUTPUT(g22)\nOUTPUT(g23)\ng10 = NAND(g1, g3)\ng11 = NAND(g3, g6)\ng16 = NAND(g2, g11)\ng19 = NAND(g11, g7)\ng22 = NAND(g10, g16)\ng23 = NAND(g16, g19)\n";
 
@@ -55,13 +53,9 @@ fn batch() -> Vec<String> {
     ]
 }
 
-fn run_batch(threads: usize, reorder: ReorderPolicy) -> Vec<String> {
+fn run_batch(threads: usize) -> Vec<String> {
     let config = ServeConfig {
         threads,
-        defaults: tbf_serve::DelayOptions {
-            reorder,
-            ..tbf_serve::DelayOptions::default()
-        },
         ..ServeConfig::default()
     };
     let mut session = Session::new(config);
@@ -77,31 +71,17 @@ fn run_batch(threads: usize, reorder: ReorderPolicy) -> Vec<String> {
 }
 
 #[test]
-fn responses_are_byte_identical_across_threads_and_reorder() {
-    let pressure = ReorderPolicy::OnPressure {
-        trigger_nodes: 50_000,
-        max_growth: 120,
-    };
-    let baseline = run_batch(1, ReorderPolicy::None);
-    for (threads, reorder, label) in [
-        (4, ReorderPolicy::None, "threads=4 reorder=off"),
-        (1, pressure, "threads=1 reorder=pressure"),
-        (4, pressure, "threads=4 reorder=pressure"),
-    ] {
-        let other = run_batch(threads, reorder);
-        assert_eq!(
-            baseline, other,
-            "{label} must produce byte-identical response lines"
-        );
-    }
+fn responses_are_byte_identical_across_threads() {
+    assert_eq!(
+        run_batch(1),
+        run_batch(4),
+        "threads=4 must produce byte-identical response lines"
+    );
 }
 
 #[test]
 fn rerunning_the_same_batch_is_byte_identical() {
-    assert_eq!(
-        run_batch(1, ReorderPolicy::None),
-        run_batch(1, ReorderPolicy::None)
-    );
+    assert_eq!(run_batch(1), run_batch(1));
 }
 
 #[test]
