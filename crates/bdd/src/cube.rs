@@ -74,10 +74,8 @@ impl BddManager {
 
     /// Returns one satisfying cube of `f`, or `None` if `f` is false.
     ///
-    /// Prefers short paths greedily but makes no minimality guarantee.
-    /// The result depends on the current variable order; use
-    /// [`min_sat_cube`](Self::min_sat_cube) when an order-independent
-    /// answer is required.
+    /// Prefers short paths greedily but makes no minimality guarantee;
+    /// use [`min_sat_cube`](Self::min_sat_cube) for the canonical one.
     pub fn any_sat_cube(&self, f: Bdd) -> Option<Cube> {
         self.cubes(f).next()
     }
@@ -86,8 +84,8 @@ impl BddManager {
     /// variable, choosing `false` wherever a satisfying completion
     /// exists. Extended with `false` defaults
     /// ([`cube_to_assignment`](Self::cube_to_assignment)) it is the
-    /// lexicographically smallest satisfying assignment in variable
-    /// *identity* order — the same whatever the current variable order.
+    /// lexicographically smallest satisfying assignment in
+    /// [`Var::index`] order.
     pub fn min_sat_cube(&mut self, f: Bdd) -> Option<Cube> {
         if f.is_false() {
             return None;
@@ -137,12 +135,9 @@ impl Iterator for Cubes<'_> {
     fn next(&mut self) -> Option<Cube> {
         while let Some((b, path)) = self.stack.pop() {
             if b.is_true() {
-                // Paths descend in order-position sequence; sort by
-                // variable identity so callers always see ascending
-                // `Var::index` regardless of the current order.
-                let mut literals = path;
-                literals.sort_unstable_by_key(|&(v, _)| v);
-                return Some(Cube { literals });
+                // A path descends in ascending variable index, so its
+                // literals are already sorted.
+                return Some(Cube { literals: path });
             }
             if b.is_false() {
                 continue;

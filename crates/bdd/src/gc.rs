@@ -2,10 +2,8 @@
 //!
 //! The arena was historically append-only: every node ever interned
 //! stayed resident until the manager was dropped, so transient garbage
-//! from sifting reorders (every [`swap_levels`](crate::BddManager::swap_levels)
-//! rewrite orphans split nodes) and from dead query intermediates could
-//! only be reclaimed by rebuilding the whole manager. This module adds
-//! in-place reclamation:
+//! from dead query intermediates could only be reclaimed by rebuilding
+//! the whole manager. This module adds in-place reclamation:
 //!
 //! * **Roots.** A sweep keeps exactly the nodes reachable from the
 //!   caller-supplied root handles plus the manager's *protected stack*
@@ -17,11 +15,10 @@
 //! * **Sweep.** Dead slots get the [`FREE_LEVEL`] sentinel payload and
 //!   go onto a free list that [`mk`](crate::BddManager::mk) pops before
 //!   growing the arena; live slots are reinserted into their variable's
-//!   unique subtable (right-sizing each one) and re-listed in
-//!   `var_nodes`. The operation caches drop every entry touching a dead
-//!   node (a freed slot may be reused by a different function) and keep
-//!   the all-survivor rest — coherent because canonicity lives in the
-//!   unique table, not the memo tables.
+//!   unique subtable (right-sizing each one). The operation caches drop
+//!   every entry touching a dead node (a freed slot may be reused by a
+//!   different function) and keep the all-survivor rest — coherent
+//!   because canonicity lives in the unique table, not the memo tables.
 //! * **Determinism.** Whether a sweep fires depends only on the policy
 //!   and the arena population — logical quantities identical at every
 //!   thread count — and slot reuse order is fixed (ascending), so GC
@@ -41,8 +38,8 @@ pub enum GcPolicy {
     None,
     /// Sweep at [`maybe_gc`](BddManager::maybe_gc) safe points once the
     /// manager holds at least `trigger_nodes` occupied nodes (live +
-    /// not-yet-swept dead); after each sweep the trigger re-arms at four
-    /// times the surviving population (never below `trigger_nodes`), so
+    /// not-yet-swept dead); after each sweep the trigger re-arms at twice
+    /// the surviving population (never below `trigger_nodes`), so
     /// sweep cost stays amortized against allocation work.
     OnPressure {
         /// Occupied node count at which the next sweep fires.
@@ -134,10 +131,8 @@ impl BddManager {
                 // Re-arm at twice the survivors: a sweep then only fires
                 // when at least half the occupied nodes are garbage, so
                 // its O(arena + caches) cost is amortized against real
-                // reclamation. (A laxer multiple lets sift garbage pile
-                // up and every adjacent swap pays for scanning it — 4×
-                // measured an order of magnitude slower under pressure
-                // reordering on the bypass-adder corpus rows.)
+                // reclamation. The sweep counts this yields are pinned by
+                // `obs_determinism` and the committed corpus baseline.
                 self.gc_trigger = trigger_nodes.max(self.node_count().saturating_mul(2));
                 reclaimed
             }
@@ -179,13 +174,10 @@ impl BddManager {
                 }
             }
         }
-        // Sweep: rebuild the subtables and per-variable slot lists from
-        // the survivors (ascending arena order — deterministic), collect
-        // the dead onto the free list (ascending pop order).
+        // Sweep: rebuild the subtables from the survivors (ascending
+        // arena order — deterministic), collect the dead onto the free
+        // list (ascending pop order).
         self.unique.clear_all();
-        for list in &mut self.var_nodes {
-            list.clear();
-        }
         self.free.clear();
         let mut reclaimed = 0usize;
         for (i, &live) in mark.iter().enumerate().skip(1) {
@@ -193,7 +185,6 @@ impl BddManager {
                 let n = self.nodes[i];
                 debug_assert_ne!(n.var, TERMINAL_LEVEL);
                 self.unique.insert(n.var, i as u32, &self.nodes);
-                self.var_nodes[n.var as usize].push(i as u32);
             } else {
                 if self.nodes[i].var != FREE_LEVEL {
                     reclaimed += 1;

@@ -16,10 +16,9 @@
 //!   and existential/universal quantification,
 //! * model counting, [cube enumeration](BddManager::cubes) and
 //!   [support](BddManager::support) extraction,
-//! * variable reordering on request: in-place adjacent
-//!   [swaps](BddManager::swap_levels) and Rudell
-//!   [sifting](BddManager::sift), without ever invalidating a [`Bdd`]
-//!   handle,
+//! * one variable order, the creation order: a [`Var`]'s index is its
+//!   position, and the first [`new_var`](BddManager::new_var) is tested
+//!   closest to the root,
 //! * a cache-conscious memory subsystem: per-variable open-addressing
 //!   unique subtables over a flat node arena, and optional mark-and-sweep
 //!   [garbage collection](BddManager::collect_garbage) under a
@@ -55,7 +54,6 @@ mod manager;
 mod node;
 mod obs;
 mod ops;
-mod reorder;
 mod unique;
 
 pub use cube::{Cube, Cubes};

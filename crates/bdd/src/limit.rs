@@ -223,11 +223,10 @@ impl BddManager {
             return Ok(if neg_result { r.negate() } else { r });
         }
         self.obs_cache_miss();
-        // `top` is an order *position*; recursion splits on the variable
-        // currently at that position, taking cofactors of the *function*
-        // (the complement tag on an argument propagates to its children).
+        // Recursion splits on the topmost variable `top`, taking cofactors
+        // of the *function* (the complement tag on an argument propagates
+        // to its children).
         let top = self.blevel(f).min(self.blevel(g)).min(self.blevel(h));
-        let top_var = self.level2var[top as usize];
         let cof = |m: &BddManager, b: Bdd, phase: bool| -> Bdd {
             if m.blevel(b) != top {
                 b
@@ -245,7 +244,7 @@ impl BddManager {
         let (h0, h1) = (cof(self, h, false), cof(self, h, true));
         let lo = self.try_ite_b(f0, g0, h0, budget)?;
         let hi = self.try_ite_b(f1, g1, h1, budget)?;
-        let r = self.mk_budgeted(top_var, lo, hi, budget)?;
+        let r = self.mk_budgeted(top, lo, hi, budget)?;
         self.ite_cache.insert(key, r);
         Ok(if neg_result { r.negate() } else { r })
     }
@@ -345,7 +344,7 @@ impl BddManager {
             return Ok(r.negate());
         }
         let n = self.node(f);
-        if self.lvl(n.var) > self.lvl(v.0) {
+        if n.var > v.0 {
             return Ok(f);
         }
         let key = (f, v.0, existential);

@@ -22,18 +22,16 @@ use crate::unique::UniqueTables;
 ///
 /// Nodes live in a flat arena; each variable owns an open-addressing
 /// unique subtable over it (see `unique.rs`), so interning probes one
-/// small cache-resident array and an adjacent-level swap touches exactly
-/// two subtables. By default the arena is append-only, but installing a
-/// [`GcPolicy`](crate::GcPolicy) lets
+/// small cache-resident array. By default the arena is append-only, but
+/// installing a [`GcPolicy`](crate::GcPolicy) lets
 /// [`maybe_gc`](Self::maybe_gc)/[`collect_garbage`](Self::collect_garbage)
 /// reclaim unreachable nodes in place through a free list (see `gc.rs`).
 /// The exact-delay search in `tbf-core` polls
 /// [`node_count`](Self::node_count) between operations to bound growth.
 ///
-/// Variables are *identities*, decoupled from their order position via the
-/// `var2level`/`level2var` tables; dynamic reordering (see
-/// [`swap_levels`](Self::swap_levels) and [`sift`](Self::sift)) permutes
-/// levels without invalidating any [`Bdd`] handle or [`Var`].
+/// The variable order is the creation order: a [`Var`]'s index is its
+/// position, so the first [`new_var`](Self::new_var) is tested closest
+/// to the root and every level comparison compares indices.
 ///
 /// # Example
 ///
@@ -68,25 +66,10 @@ pub struct BddManager {
     /// once). Unlike [`node_count`](Self::node_count) this includes dead
     /// slots, so it measures what GC saves.
     pub(crate) peak_arena: usize,
-    /// Monotone count of nodes ever interned (arena growth *and*
-    /// freed-slot reuse). Work budgets measure against this rather than
-    /// [`node_count`](Self::node_count) because a GC sweep cannot roll
-    /// it back.
-    pub(crate) allocated: usize,
     pub(crate) ite_cache: HashMap<(Bdd, Bdd, Bdd), Bdd>,
     pub(crate) quant_cache: HashMap<(Bdd, u32, bool), Bdd>,
     pub(crate) compose_cache: HashMap<(Bdd, u32, Bdd), Bdd>,
     var_names: Vec<String>,
-    /// `var2level[v]` = current order position of variable `v`.
-    pub(crate) var2level: Vec<u32>,
-    /// `level2var[l]` = variable currently at order position `l`.
-    pub(crate) level2var: Vec<u32>,
-    /// Per-variable arena index: `var_nodes[v]` holds every arena slot
-    /// whose root variable is (or once was) `v`. Entries go stale when a
-    /// [`swap_levels`](Self::swap_levels) rewrite changes a slot's root;
-    /// swaps compact their own variable's list lazily. This turns the
-    /// per-swap candidate scan from O(arena) into O(nodes of one var).
-    pub(crate) var_nodes: Vec<Vec<u32>>,
     /// Shared effort-counter registry (see [`crate::obs`]); `None` until
     /// [`set_counters`](Self::set_counters) installs one.
     #[cfg(feature = "obs")]
@@ -112,26 +95,19 @@ impl BddManager {
             gc_trigger: usize::MAX,
             gc_stats: crate::gc::GcStats::default(),
             peak_arena: 1,
-            allocated: 0,
             ite_cache: HashMap::new(),
             quant_cache: HashMap::new(),
             compose_cache: HashMap::new(),
             var_names: Vec::new(),
-            var2level: Vec::new(),
-            level2var: Vec::new(),
-            var_nodes: Vec::new(),
             #[cfg(feature = "obs")]
             counters: None,
         }
     }
 
-    /// Declares a fresh variable at the end of the current order.
+    /// Declares a fresh variable, ordered below every existing one.
     pub fn new_var(&mut self) -> Var {
         let idx = self.var_names.len() as u32;
         self.var_names.push(format!("v{idx}"));
-        self.var2level.push(idx);
-        self.level2var.push(idx);
-        self.var_nodes.push(Vec::new());
         self.unique.push_var();
         Var(idx)
     }
@@ -178,25 +154,10 @@ impl BddManager {
         self.peak_arena
     }
 
-    /// Nodes ever interned over the manager's life, counting freed-slot
-    /// reuse. Monotone: a GC sweep shrinks [`node_count`](Self::node_count)
-    /// but never this, which makes it the right base for bounding the
-    /// *work* of a sift pass independently of how much of its churn the
-    /// in-pass sweeps reclaim.
-    pub fn allocated_total(&self) -> usize {
-        self.allocated
-    }
-
     /// Approximate resident bytes of the node arena plus the unique
     /// subtables' slot arrays (memory telemetry for benches).
     pub fn arena_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<Node>() + self.unique.slot_bytes()
-    }
-
-    /// `(entries, capacity)` of variable `v`'s unique subtable —
-    /// diagnostics for the capacity-stays-bounded regression tests.
-    pub fn unique_subtable_stats(&self, v: Var) -> (usize, usize) {
-        self.unique.stats_of(v.0)
     }
 
     /// The function that is true exactly when `v` is true.
@@ -252,7 +213,6 @@ impl BddManager {
         }
         self.obs_unique_miss();
         self.obs_node_alloc();
-        self.allocated += 1;
         let node = Node { var, lo, hi };
         // Reuse a GC-freed slot before growing the arena.
         let slot = match self.free.pop() {
@@ -269,7 +229,6 @@ impl BddManager {
             }
         };
         self.unique.insert(var, slot as u32, &self.nodes);
-        self.var_nodes[var as usize].push(slot as u32);
         Bdd::from_index(slot)
     }
 
@@ -291,82 +250,11 @@ impl BddManager {
         }
     }
 
-    /// Current order position of variable index `var` (internal shorthand).
-    #[inline]
-    pub(crate) fn lvl(&self, var: u32) -> u32 {
-        self.var2level[var as usize]
-    }
-
-    /// Order position of the root of `b`: the root variable's level, or
+    /// Order position of the root of `b`: its variable index, or
     /// [`TERMINAL_LEVEL`] for constants (below every variable).
     #[inline]
     pub(crate) fn blevel(&self, b: Bdd) -> u32 {
-        if b.is_const() {
-            TERMINAL_LEVEL
-        } else {
-            self.lvl(self.node(b).var)
-        }
-    }
-
-    /// Current order position of `v` (0 = tested first / closest to root).
-    pub fn level_of(&self, v: Var) -> usize {
-        self.var2level[v.index()] as usize
-    }
-
-    /// The variable currently at order position `level`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level >= var_count()`.
-    pub fn var_at_level(&self, level: usize) -> Var {
-        Var(self.level2var[level])
-    }
-
-    /// The current variable order, root-first.
-    pub fn current_order(&self) -> Vec<Var> {
-        self.level2var.iter().map(|&v| Var(v)).collect()
-    }
-
-    /// `true` when every variable sits at its creation position (the order
-    /// a fresh manager starts with).
-    pub fn is_identity_order(&self) -> bool {
-        self.var2level
-            .iter()
-            .enumerate()
-            .all(|(i, &l)| l as usize == i)
-    }
-
-    /// Installs a variable order on a *fresh* manager (no nodes built yet).
-    /// `order[l]` is the variable to place at level `l`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any node has been interned already, or if `order` is not a
-    /// permutation of all declared variables. Use
-    /// [`reorder_to`](Self::reorder_to) on a populated manager instead.
-    pub fn set_order(&mut self, order: &[Var]) {
-        assert_eq!(
-            self.nodes.len(),
-            1,
-            "set_order requires a fresh manager; use reorder_to instead"
-        );
-        assert_eq!(
-            order.len(),
-            self.var_count(),
-            "order must list every variable"
-        );
-        let mut seen = vec![false; order.len()];
-        for v in order {
-            assert!(
-                v.index() < seen.len() && !seen[v.index()],
-                "order must be a permutation of the declared variables"
-            );
-            seen[v.index()] = true;
-        }
-        for (l, v) in order.iter().enumerate() {
-            self.level2var[l] = v.0;
-            self.var2level[v.index()] = l as u32;
-        }
+        self.node(b).var
     }
 
     /// The variable tested at the root of `b`, or `None` for constants.
@@ -389,8 +277,7 @@ impl BddManager {
         self.cofactors(b)
     }
 
-    /// Evaluates `b` under a full assignment indexed by variable *identity*
-    /// ([`Var::index`]), so the result does not depend on the current order.
+    /// Evaluates `b` under a full assignment indexed by [`Var::index`].
     ///
     /// # Panics
     ///
@@ -458,7 +345,7 @@ impl BddManager {
                 return c;
             }
             let n = m.node(b);
-            let node_level = m.lvl(n.var) as usize;
+            let node_level = n.var as usize;
             let skipped = node_level - level;
             let lo = go(m, n.lo, node_level + 1, n_vars, memo);
             let hi = go(m, n.hi, node_level + 1, n_vars, memo);
@@ -470,7 +357,7 @@ impl BddManager {
         go(self, b, 0, n_vars, &mut memo)
     }
 
-    /// Largest order position tested anywhere in `b`, or 0 for constants.
+    /// Largest variable index tested anywhere in `b`, or 0 for constants.
     fn max_tested_level(&self, b: Bdd) -> usize {
         // Track regular handles so a node reached both plain and
         // complemented is visited once.
@@ -482,7 +369,7 @@ impl BddManager {
                 continue;
             }
             let n = self.node(x);
-            max = max.max(self.lvl(n.var) as usize);
+            max = max.max(n.var as usize);
             stack.push(n.lo.regular());
             stack.push(n.hi.regular());
         }
@@ -490,7 +377,7 @@ impl BddManager {
     }
 
     /// The set of variables tested in `b`, in ascending [`Var::index`]
-    /// order (independent of the current variable order).
+    /// order.
     pub fn support(&self, b: Bdd) -> Vec<Var> {
         let mut stack = vec![b.regular()];
         let mut seen = std::collections::HashSet::new();
@@ -512,11 +399,10 @@ impl BddManager {
     /// occupied-but-unreachable entries — dead until a GC sweep or a
     /// manager rebuild reclaims them).
     pub fn live_size(&self, roots: &[Bdd]) -> usize {
-        // Sifting calls this after every adjacent swap, so the visited
-        // set is a plain arena-indexed bitmap rather than a hash set.
-        // `index()` strips the complement tag, so a node referenced both
-        // plain and complemented is counted once — the {f, ¬f} pair *is*
-        // one node under complement edges.
+        // The visited set is an arena-indexed bitmap. `index()` strips
+        // the complement tag, so a node referenced both plain and
+        // complemented is counted once — the {f, ¬f} pair *is* one node
+        // under complement edges.
         let mut stack: Vec<Bdd> = roots.to_vec();
         let mut seen = vec![false; self.nodes.len()];
         let mut count = 0usize;
@@ -534,19 +420,7 @@ impl BddManager {
 
     /// Number of (shared) nodes reachable from `b`, terminals excluded.
     pub fn size(&self, b: Bdd) -> usize {
-        let mut stack = vec![b.regular()];
-        let mut seen = std::collections::HashSet::new();
-        let mut count = 0usize;
-        while let Some(x) = stack.pop() {
-            if x.is_const() || !seen.insert(x) {
-                continue;
-            }
-            count += 1;
-            let n = self.node(x);
-            stack.push(n.lo.regular());
-            stack.push(n.hi.regular());
-        }
-        count
+        self.live_size(&[b])
     }
 
     /// Total entries across the operation caches (memory pressure gauge).

@@ -104,20 +104,15 @@ impl fmt::Debug for Bdd {
 
 /// A BDD variable.
 ///
-/// A `Var` is a *stable identity*: it names the variable for the lifetime
-/// of the manager, whatever its current position (level) in the order.
-/// Freshly created managers use the identity order (the first
-/// [`new_var`](crate::BddManager::new_var) is tested closest to the
-/// root); dynamic reordering ([`swap_levels`](crate::BddManager::swap_levels),
-/// [`sift`](crate::BddManager::sift)) moves levels around without ever
-/// invalidating a `Var` or a [`Bdd`] handle. Query the current position
-/// with [`level_of`](crate::BddManager::level_of).
+/// A `Var`'s index is its position in the order: the first
+/// [`new_var`](crate::BddManager::new_var) is tested closest to the root,
+/// and every later one below all earlier ones.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Var(pub(crate) u32);
 
 impl Var {
-    /// Zero-based creation index of this variable (its stable identity,
-    /// *not* its current order position).
+    /// Zero-based creation index of this variable, which is also its
+    /// position in the order.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -131,11 +126,10 @@ impl fmt::Debug for Var {
 }
 
 /// Internal node representation: `(var, lo, hi)` with `lo` taken when the
-/// tested variable is 0. The field stores the variable's stable *identity*;
-/// its current order position comes from the manager's `var2level` table.
-/// The single terminal lives at arena index 0 with a sentinel variable so
-/// that every internal node sorts strictly above it. In complement-edge
-/// mode the stored `hi` edge is always regular (canonical then-edge rule).
+/// tested variable is 0; `var` is the variable's index, which is also its
+/// order position. The single terminal lives at arena index 0 with a
+/// sentinel variable so that every internal node sorts strictly above it.
+/// The stored `hi` edge is always regular (canonical then-edge rule).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct Node {
     pub var: u32,
@@ -144,15 +138,13 @@ pub(crate) struct Node {
 }
 
 /// Sentinel marking the terminal node; also used as the "below every
-/// variable" level (larger than any variable index or order position).
+/// variable" level (larger than any variable index).
 pub(crate) const TERMINAL_LEVEL: u32 = u32::MAX;
 
 /// Sentinel `var` payload of a *freed* arena slot (reclaimed by
 /// mark-and-sweep GC, awaiting reuse through the manager's free list).
 /// Distinct from [`TERMINAL_LEVEL`] so the terminal can never be confused
-/// with garbage, and larger than any real variable index so freed slots
-/// fall out of every `var == v` scan (e.g. the per-variable candidate
-/// retain in `swap_levels`).
+/// with garbage, and larger than any real variable index.
 pub(crate) const FREE_LEVEL: u32 = u32::MAX - 1;
 
 #[cfg(test)]

@@ -99,22 +99,6 @@ impl BddManager {
             c.add(tbf_obs::Metric::GcNodesReclaimed, _reclaimed);
         }
     }
-
-    /// One adjacent-level swap while sifting.
-    #[inline(always)]
-    pub(crate) fn obs_sift_swap(&self) {
-        #[cfg(feature = "obs")]
-        self.obs_bump(tbf_obs::Metric::SiftSwaps);
-    }
-
-    /// Live-size observation at the start of a sifting pass.
-    #[inline(always)]
-    pub(crate) fn obs_sift_live(&self, _live: usize) {
-        #[cfg(feature = "obs")]
-        if let Some(c) = &self.counters {
-            c.observe(tbf_obs::HistMetric::SiftLiveNodes, _live as u64);
-        }
-    }
 }
 
 #[cfg(all(test, feature = "obs"))]

@@ -124,7 +124,7 @@ impl BddManager {
             return r.negate();
         }
         let n = self.node(f);
-        if self.lvl(n.var) > self.lvl(v.0) {
+        if n.var > v.0 {
             return f;
         }
         let key = (f, v.0, g);

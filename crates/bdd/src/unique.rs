@@ -8,15 +8,9 @@
 //!   SipHash map: the key is hashed with a single Fibonacci multiply and
 //!   linear probing walks consecutive `u32` slots (one cache line holds
 //!   16 of them);
-//! * `swap_levels(l)` only ever touches the two subtables of the
-//!   swapped variables — the other variables' tables are untouched by
-//!   construction, not by accident;
-//! * capacity tracks the *live* population of each variable: deletions
-//!   use backward-shift compaction (no tombstones), and
-//!   [`SubTable::maybe_shrink`] gives memory back after sift churn, so a
-//!   subtable's capacity stays bounded by a constant factor of its
-//!   entries (`props_reorder`'s repeated-sift regression test pins
-//!   this).
+//! * capacity tracks the *live* population of each variable: entries are
+//!   never removed one by one, and a GC sweep clears every subtable and
+//!   reinserts the survivors, right-sizing each one.
 //!
 //! The subtable stores slot indices only; node payloads `(lo, hi)` live
 //! in the arena and every operation takes `&[Node]` to compare keys.
@@ -43,7 +37,7 @@ fn mix(lo: Bdd, hi: Bdd) -> u64 {
 }
 
 /// One variable's unique subtable: open addressing, linear probing,
-/// power-of-two capacity, backward-shift deletion.
+/// power-of-two capacity.
 pub(crate) struct SubTable {
     /// `slots[i]` is an arena index or [`EMPTY`]. Length is a power of
     /// two (or zero before the first insert).
@@ -57,12 +51,6 @@ impl SubTable {
             slots: Vec::new(),
             len: 0,
         }
-    }
-
-    /// Number of interned nodes.
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.len
     }
 
     /// Current slot-array capacity (0 before the first insert).
@@ -127,65 +115,6 @@ impl SubTable {
         self.len += 1;
     }
 
-    /// Removes the entry for `(lo, hi)` with backward-shift compaction
-    /// (no tombstones: later entries in the probe chain move back so
-    /// `get` never needs to skip deleted slots). Returns `true` if the
-    /// key was present.
-    pub(crate) fn remove(&mut self, lo: Bdd, hi: Bdd, nodes: &[Node]) -> bool {
-        if self.len == 0 {
-            return false;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = self.bucket(lo, hi);
-        loop {
-            let s = self.slots[i];
-            if s == EMPTY {
-                return false;
-            }
-            let n = &nodes[s as usize];
-            if n.lo == lo && n.hi == hi {
-                break;
-            }
-            i = (i + 1) & mask;
-        }
-        // Backward shift: walk the chain after the hole; an entry may
-        // move into the hole iff the hole lies on its probe path (its
-        // home is at least as far from the current position as the
-        // hole is).
-        let mut hole = i;
-        let mut j = i;
-        loop {
-            j = (j + 1) & mask;
-            let s = self.slots[j];
-            if s == EMPTY {
-                break;
-            }
-            let n = &nodes[s as usize];
-            let home = self.bucket(n.lo, n.hi);
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.slots[hole] = s;
-                hole = j;
-            }
-        }
-        self.slots[hole] = EMPTY;
-        self.len -= 1;
-        true
-    }
-
-    /// Shrinks sparse tables so capacity stays Θ(len): called after a
-    /// swap or sweep, never from the hot `insert` path. A table at or
-    /// below 1/8 load drops to the smallest power of two holding its
-    /// entries under 1/2 load.
-    pub(crate) fn maybe_shrink(&mut self, nodes: &[Node]) {
-        if self.slots.len() <= MIN_CAP || self.len * 8 > self.slots.len() {
-            return;
-        }
-        let target = (self.len * 2).next_power_of_two().max(MIN_CAP);
-        if target < self.slots.len() {
-            self.resize(target, nodes);
-        }
-    }
-
     /// Drops all entries *and* the slot storage (a following rebuild
     /// right-sizes from scratch).
     pub(crate) fn clear(&mut self) {
@@ -236,27 +165,12 @@ impl UniqueTables {
         self.tables[var as usize].insert(slot, nodes);
     }
 
-    #[inline]
-    pub(crate) fn remove(&mut self, var: u32, lo: Bdd, hi: Bdd, nodes: &[Node]) -> bool {
-        self.tables[var as usize].remove(lo, hi, nodes)
-    }
-
-    pub(crate) fn maybe_shrink(&mut self, var: u32, nodes: &[Node]) {
-        self.tables[var as usize].maybe_shrink(nodes);
-    }
-
     /// Drops every entry and every subtable's storage (GC sweep prelude;
     /// the sweep reinserts the survivors, right-sizing each table).
     pub(crate) fn clear_all(&mut self) {
         for t in &mut self.tables {
             t.clear();
         }
-    }
-
-    /// `(entries, capacity)` of one variable's subtable.
-    pub(crate) fn stats_of(&self, var: u32) -> (usize, usize) {
-        let t = &self.tables[var as usize];
-        (t.len(), t.capacity())
     }
 
     /// Total slot-array bytes across all subtables (memory telemetry).
@@ -285,80 +199,17 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_remove_roundtrip() {
+    fn insert_get_roundtrip() {
         let nodes = arena(100);
         let mut t = SubTable::new();
         for i in 1..100u32 {
             t.insert(i, &nodes);
         }
-        assert_eq!(t.len(), 99);
         for i in 1..100u32 {
             let n = &nodes[i as usize];
             assert_eq!(t.get(n.lo, n.hi, &nodes), Some(i), "slot {i}");
         }
         let missing = Bdd(9999);
         assert_eq!(t.get(missing, missing, &nodes), None);
-        for i in (1..100u32).step_by(2) {
-            let n = nodes[i as usize];
-            assert!(t.remove(n.lo, n.hi, &nodes));
-            assert!(!t.remove(n.lo, n.hi, &nodes), "double remove");
-        }
-        assert_eq!(t.len(), 49);
-        for i in 1..100u32 {
-            let n = &nodes[i as usize];
-            let got = t.get(n.lo, n.hi, &nodes);
-            if i % 2 == 1 {
-                assert_eq!(got, None);
-            } else {
-                assert_eq!(got, Some(i));
-            }
-        }
-    }
-
-    #[test]
-    fn shrink_bounds_capacity() {
-        let nodes = arena(1000);
-        let mut t = SubTable::new();
-        for i in 1..1000u32 {
-            t.insert(i, &nodes);
-        }
-        let grown = t.capacity();
-        for i in 1..990u32 {
-            let n = nodes[i as usize];
-            t.remove(n.lo, n.hi, &nodes);
-        }
-        assert_eq!(t.len(), 10);
-        assert_eq!(t.capacity(), grown, "remove alone never shrinks");
-        t.maybe_shrink(&nodes);
-        assert!(
-            t.capacity() <= 8 * t.len().max(MIN_CAP),
-            "capacity {} for {} entries",
-            t.capacity(),
-            t.len()
-        );
-        for i in 990..1000u32 {
-            let n = &nodes[i as usize];
-            assert_eq!(t.get(n.lo, n.hi, &nodes), Some(i), "survives shrink");
-        }
-    }
-
-    #[test]
-    fn backward_shift_keeps_chains_probeable() {
-        // Dense collisions: force a tiny table and delete from the middle
-        // of chains repeatedly.
-        let nodes = arena(64);
-        let mut t = SubTable::new();
-        for i in 1..32u32 {
-            t.insert(i, &nodes);
-        }
-        for i in (1..32u32).rev() {
-            let n = nodes[i as usize];
-            assert!(t.remove(n.lo, n.hi, &nodes));
-            for j in 1..i {
-                let m = &nodes[j as usize];
-                assert_eq!(t.get(m.lo, m.hi, &nodes), Some(j), "after removing {i}");
-            }
-        }
-        assert_eq!(t.len(), 0);
     }
 }

@@ -5,13 +5,15 @@
 //! in a manager and, alongside, as truth tables computed bitwise from
 //! each connective — a referee that shares no code with the BDD
 //! package. Every subfunction is compared by exhaustive 2^n evaluation,
-//! `sat_count` and `support`. The handle algebra itself is checked too:
-//! negation is a constant-time tag flip that allocates nothing, double
-//! negation is pointer-identical, and De Morgan-equivalent constructions
-//! meet at the same handle (the canonical then-edge rule at work).
-//! Reordering is exercised to confirm the two features compose.
+//! `sat_count` and `support`; its cubes must partition the onset with
+//! literals in ascending variable index, and `min_sat_cube` must be the
+//! lexicographically least true row. The handle algebra itself is
+//! checked too: negation is a constant-time tag flip that allocates
+//! nothing, double negation is pointer-identical, and De
+//! Morgan-equivalent constructions meet at the same handle (the
+//! canonical then-edge rule at work).
 //!
-//! Seeds come from the same fixed table as `props_reorder`; set
+//! Seeds come from the same fixed table as `props_gc`; set
 //! `RANDOM_SEED=<u64>` (decimal or `0x`-hex) to add one more. Failures
 //! report the seed and parameters needed to reproduce.
 
@@ -100,6 +102,53 @@ fn table_support(t: &Table, n_vars: usize) -> Vec<usize> {
         .collect()
 }
 
+/// Checks the cubes of `f` against its truth table: they partition the
+/// onset (every true row covered once, no false row covered), and each
+/// lists its literals in strictly ascending [`Var::index`] order.
+///
+/// [`Var::index`]: tbf_bdd::Var::index
+fn check_cubes(m: &BddManager, f: Bdd, table: &Table) -> Result<(), String> {
+    let mut covered = vec![0usize; table.len()];
+    for c in m.cubes(f) {
+        if !c.literals().windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err("cube literals do not ascend by variable index".into());
+        }
+        // Enumerate the rows the cube covers: its literals fix some bits,
+        // every subset of the free bits completes a row.
+        let (mut fixed, mut value) = (0usize, 0usize);
+        for &(v, phase) in c.literals() {
+            fixed |= 1 << v.index();
+            value |= usize::from(phase) << v.index();
+        }
+        let free = (table.len() - 1) & !fixed;
+        let mut sub = free;
+        loop {
+            covered[value | sub] += 1;
+            if sub == 0 {
+                break;
+            }
+            sub = (sub - 1) & free;
+        }
+    }
+    match (0..table.len()).find(|&r| covered[r] != usize::from(table[r])) {
+        Some(r) => Err(format!(
+            "cubes cover row {r:#b} {} times, want {}",
+            covered[r],
+            usize::from(table[r])
+        )),
+        None => Ok(()),
+    }
+}
+
+/// The lexicographically least true row (variable 0 most significant),
+/// found by brute force over the truth table.
+fn lex_min_row(table: &Table, n_vars: usize) -> Option<Vec<bool>> {
+    (0..table.len())
+        .filter(|&r| table[r])
+        .map(|r| (0..n_vars).map(|i| r >> i & 1 == 1).collect())
+        .min()
+}
+
 /// One full property case. Returns a failure description on mismatch.
 fn run_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<(), String> {
     let mut m = BddManager::new();
@@ -124,6 +173,14 @@ fn run_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<(), String> {
         let support: Vec<usize> = m.support(f).iter().map(|v| v.index()).collect();
         if support != table_support(table, n_vars) {
             return Err(format!("subfunction #{i}: support differs"));
+        }
+        check_cubes(&m, f, table).map_err(|e| format!("subfunction #{i}: {e}"))?;
+        let min_sat = m.min_sat_cube(f).map(|c| m.cube_to_assignment(&c, n_vars));
+        let brute = lex_min_row(table, n_vars);
+        if min_sat != brute {
+            return Err(format!(
+                "subfunction #{i}: min_sat_cube {min_sat:?}, brute force {brute:?}"
+            ));
         }
 
         // Handle algebra: ¬ is a tag flip on the same arena node, so it
@@ -168,15 +225,6 @@ fn run_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<(), String> {
         let and_back = m.and(a, b);
         if m.not(via_nand) != and_back {
             return Err(format!("round {round}: ¬¬(a∧b) differs from a∧b"));
-        }
-    }
-
-    // Reordering composes with complement edges: a sift preserves every
-    // subfunction's semantics.
-    m.sift(&roots, 150, usize::MAX);
-    for (i, (f, table)) in pool.iter().enumerate() {
-        if &truth_table(&m, *f, n_vars) != table {
-            return Err(format!("subfunction #{i}: sift changed its function"));
         }
     }
     Ok(())

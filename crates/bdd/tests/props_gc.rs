@@ -5,10 +5,10 @@
 //! is kept live and the rest abandoned. Each sweep is checked against
 //! pre-sweep snapshots: exhaustive 2^n evaluation, `support`, and a
 //! structural descriptor of every reachable node (handles stay valid
-//! across a sweep, so the comparison is direct). Further cases compose
-//! GC with sifting, adjacent swaps, and random permutations under a low
-//! pressure trigger, and verify a sweep never frees a node reachable
-//! from a live handle.
+//! across a sweep, so the comparison is direct). A pressure case installs
+//! a low trigger and builds abandoned intermediates over a live root
+//! between `maybe_gc` safe points: the root must survive every sweep
+//! unchanged, and a final sweep must leave only its reachable nodes.
 //!
 //! Seeds come from a fixed table; set `RANDOM_SEED=<u64>` (decimal or
 //! `0x`-hex) to add one more. A failing case is shrunk (fewer gates,
@@ -39,14 +39,6 @@ impl XorShift {
 
     fn below(&mut self, n: usize) -> usize {
         (self.next_u64() % n as u64) as usize
-    }
-
-    fn shuffled(&mut self, n: usize) -> Vec<usize> {
-        let mut v: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            v.swap(i, self.below(i + 1));
-        }
-        v
     }
 }
 
@@ -118,7 +110,7 @@ fn descriptor(m: &BddManager, b: Bdd) -> String {
     s
 }
 
-/// Per-root snapshot taken before a sweep or a reorder round.
+/// Per-root snapshot taken before a sweep.
 struct Snapshot {
     tt: Vec<bool>,
     support: Vec<Var>,
@@ -138,14 +130,13 @@ fn snapshot(m: &BddManager, roots: &[Bdd], n_vars: usize) -> Vec<Snapshot> {
         .collect()
 }
 
-/// Compares live roots against their snapshots; shapes are only required
-/// to match when the variable order has not changed since the snapshot.
+/// Compares live roots against their snapshots: function, support and
+/// reachable structure must all be unchanged.
 fn check_roots(
     m: &BddManager,
     roots: &[Bdd],
     snaps: &[Snapshot],
     n_vars: usize,
-    same_order: bool,
     stage: &str,
 ) -> Result<(), String> {
     for (i, (&f, snap)) in roots.iter().zip(snaps).enumerate() {
@@ -155,13 +146,11 @@ fn check_roots(
         if m.support(f) != snap.support {
             return Err(format!("{stage}: root #{i} support changed"));
         }
-        if same_order {
-            if descriptor(m, f) != snap.shape {
-                return Err(format!("{stage}: root #{i} reachable structure changed"));
-            }
-            if m.size(f) != snap.size {
-                return Err(format!("{stage}: root #{i} node count changed"));
-            }
+        if descriptor(m, f) != snap.shape {
+            return Err(format!("{stage}: root #{i} reachable structure changed"));
+        }
+        if m.size(f) != snap.size {
+            return Err(format!("{stage}: root #{i} node count changed"));
         }
     }
     Ok(())
@@ -191,7 +180,7 @@ fn run_sweep_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<(), String
     if m.live_size(&live) != live_before {
         return Err("sweep changed the live reachable set".into());
     }
-    check_roots(&m, &live, &snaps, n_vars, true, "after sweep")?;
+    check_roots(&m, &live, &snaps, n_vars, "after sweep")?;
 
     // A second sweep with the same roots has nothing left to find.
     if m.collect_garbage(&live) != 0 {
@@ -225,7 +214,7 @@ fn run_sweep_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<(), String
                 return Err(format!("post-sweep XOR #{round} is wrong"));
             }
         }
-        check_roots(&m, &live, &snaps, n_vars, true, "after post-sweep builds")?;
+        check_roots(&m, &live, &snaps, n_vars, "after post-sweep builds")?;
     }
 
     // Never-frees-reachable, degenerate direction: rooting *everything*
@@ -236,7 +225,7 @@ fn run_sweep_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<(), String
     let (pool2, _) = random_dag(&mut m2, &mut rng2, n_vars, n_gates);
     let snaps2 = snapshot(&m2, &pool2, n_vars);
     m2.collect_garbage(&pool2);
-    check_roots(&m2, &pool2, &snaps2, n_vars, true, "all-roots sweep")?;
+    check_roots(&m2, &pool2, &snaps2, n_vars, "all-roots sweep")?;
     // Stats are monotone bookkeeping; both sweeps above must count.
     if m.gc_stats().sweeps != 2 || m.gc_stats().reclaimed != reclaimed as u64 {
         return Err("gc_stats disagree with the sweeps performed".into());
@@ -244,10 +233,10 @@ fn run_sweep_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<(), String
     Ok(())
 }
 
-/// One reorder-composition case: with a low pressure trigger, pressure
-/// sweeps fire *inside* sifting and between explicit reorder rounds, and
-/// none of it may disturb the live root.
-fn run_reorder_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<(), String> {
+/// One pressure case: with a low trigger, `maybe_gc` safe points sweep
+/// between constructions whose intermediates are abandoned, and none of
+/// it may disturb the live root. Returns the number of sweeps that fired.
+fn run_pressure_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<u64, String> {
     let mut rng = XorShift::new(seed);
     let mut m = BddManager::new();
     m.set_gc_policy(GcPolicy::OnPressure { trigger_nodes: 24 });
@@ -255,36 +244,32 @@ fn run_reorder_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<(), Stri
     let f = *pool.last().expect("pool starts non-empty");
     let snaps = snapshot(&m, &[f], n_vars);
 
-    // Adjacent swaps with interleaved pressure sweeps.
+    // Every other pool function is garbage from here on.
+    m.maybe_gc(&[f]);
+    check_roots(&m, &[f], &snaps, n_vars, "first safe point")?;
     for step in 0..2 * n_vars {
-        m.swap_levels(rng.below(n_vars - 1));
+        let v = vars[rng.below(n_vars)];
+        let lit = m.var(v);
+        let g = m.xor(f, lit);
+        let h = m.and(g, f);
+        let _ = m.exists(h, v);
         m.maybe_gc(&[f]);
-        check_roots(&m, &[f], &snaps, n_vars, false, &format!("swap #{step}"))?;
+        check_roots(&m, &[f], &snaps, n_vars, &format!("step #{step}"))?;
     }
+    let sweeps = m.gc_stats().sweeps;
 
-    // Full sifting (sweeps fire inside the sift loop), then random
-    // permutations with a sweep after each.
-    m.sift(&[f], 150, usize::MAX);
-    check_roots(&m, &[f], &snaps, n_vars, false, "after sift")?;
-    for round in 0..3 {
-        let perm: Vec<Var> = rng.shuffled(n_vars).into_iter().map(|i| vars[i]).collect();
-        m.reorder_to(&perm);
-        m.collect_garbage(&[f]);
-        if m.node_count() != m.live_size(&[f]) + 1 {
-            return Err(format!("perm #{round}: sweep left unreachable nodes"));
-        }
-        check_roots(&m, &[f], &snaps, n_vars, false, &format!("perm #{round}"))?;
+    m.collect_garbage(&[f]);
+    if m.node_count() != m.live_size(&[f]) + 1 {
+        return Err("final sweep left unreachable nodes".into());
     }
-
-    // Back at the identity order the structure must be the original one:
-    // sweeps reclaim garbage, never rewrite reachable nodes.
-    m.reorder_to(&vars);
-    check_roots(&m, &[f], &snaps, n_vars, true, "back at identity")
+    check_roots(&m, &[f], &snaps, n_vars, "final sweep")?;
+    Ok(sweeps)
 }
 
-fn run_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<(), String> {
+/// Runs both cases; returns the pressure sweeps that fired.
+fn run_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<u64, String> {
     run_sweep_case(seed, n_vars, n_gates)?;
-    run_reorder_case(seed, n_vars, n_gates)
+    run_pressure_case(seed, n_vars, n_gates)
 }
 
 /// Shrinks a failing case: halve the gate count while it still fails,
@@ -299,7 +284,7 @@ fn shrink_and_report(seed: u64, n_vars: usize, n_gates: usize, first_error: Stri
                 best_err = e;
                 gates /= 2;
             }
-            Ok(()) => break,
+            Ok(_) => break,
         }
     }
     let mut vars = best_vars / 2;
@@ -310,7 +295,7 @@ fn shrink_and_report(seed: u64, n_vars: usize, n_gates: usize, first_error: Stri
                 best_err = e;
                 vars /= 2;
             }
-            Ok(()) => break,
+            Ok(_) => break,
         }
     }
     format!(
@@ -337,6 +322,7 @@ fn seeds() -> Vec<u64> {
 
 #[test]
 fn gc_preserves_semantics_on_random_dags() {
+    let mut pressure_sweeps = 0;
     for seed in seeds() {
         let mut rng = XorShift::new(seed ^ 0xa5a5a5a5a5a5a5a5);
         for case in 0..6u64 {
@@ -344,11 +330,13 @@ fn gc_preserves_semantics_on_random_dags() {
             let n_vars = 3 + rng.below(10);
             let n_gates = 4 + rng.below(28);
             let case_seed = seed.wrapping_add(case.wrapping_mul(0x9e3779b97f4a7c15));
-            if let Err(e) = run_case(case_seed, n_vars, n_gates) {
-                panic!("{}", shrink_and_report(case_seed, n_vars, n_gates, e));
+            match run_case(case_seed, n_vars, n_gates) {
+                Ok(sweeps) => pressure_sweeps += sweeps,
+                Err(e) => panic!("{}", shrink_and_report(case_seed, n_vars, n_gates, e)),
             }
         }
     }
+    assert!(pressure_sweeps > 0, "no pressure sweep ever fired");
 }
 
 #[test]

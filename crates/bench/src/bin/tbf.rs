@@ -109,7 +109,16 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("missing value for {flag}"));
         match a.as_str() {
-            "--model" => args.model = value("--model")?,
+            "--model" => {
+                let v = value("--model")?;
+                if !["two-vector", "sequences", "floating", "anytime", "all"].contains(&v.as_str())
+                {
+                    return Err(format!(
+                        "--model must be two-vector, sequences, floating, anytime or all, got `{v}`"
+                    ));
+                }
+                args.model = v;
+            }
             "--format" => {
                 let v = value("--format")?;
                 args.format = Some(Format::from_name(&v).ok_or_else(|| {

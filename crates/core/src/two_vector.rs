@@ -278,14 +278,13 @@ fn check_interval(
 /// Cube enumeration walks the ROBDD top-down, so the cube *sequence*
 /// follows the variable order — and the sequence decides LP tie-breaks,
 /// the early exit at `t = b`, and which cubes a `max_cubes` overflow
-/// truncates. The engine never reorders, so that order is the layout's
-/// creation order and the sequence is fixed by the cone alone.
+/// truncates. That order is the layout's creation order, so the sequence
+/// is fixed by the cone alone.
 pub(crate) fn canonical_cubes(
     cx: &ConeContext,
     projected: Bdd,
     b: Time,
 ) -> Result<Vec<Cube>, DelayError> {
-    debug_assert!(cx.manager.is_identity_order());
     let max_cubes = cx.budget.max_cubes();
     let mut cubes = Vec::new();
     for cube in cx.manager.cubes(projected) {

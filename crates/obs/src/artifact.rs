@@ -4,7 +4,7 @@
 //! and the benches adopt for longitudinal tracking. Its layout contract:
 //!
 //! * the first member is always the `schema` header
-//!   `{"name": "tbf-run-artifact", "version": 1}`;
+//!   `{"name": "tbf-run-artifact", "version": 2}`;
 //! * every other section appears in the order the producer added it,
 //!   **except** `timing`, which is always serialized last;
 //! * every section except `timing` is deterministic — byte-identical
@@ -14,6 +14,8 @@
 //!
 //! Versioning policy: `version` bumps on any change that removes or
 //! re-types an existing key; purely additive keys keep the version.
+//! Version 2 removed the variable-reordering counter and histogram.
+//! [`RunArtifact::validate`] accepts every version up to the current one.
 //!
 //! # Example
 //!
@@ -33,7 +35,7 @@ use crate::json::Value;
 pub const SCHEMA_NAME: &str = "tbf-run-artifact";
 
 /// The current schema version (bumped on breaking key changes only).
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// An in-construction run artifact. See the [module docs](self) for the
 /// layout contract.
@@ -194,6 +196,10 @@ mod tests {
         );
         let ok = RunArtifact::new().render();
         assert!(RunArtifact::validate(&ok).is_ok());
+        // Older versions stay readable.
+        assert!(
+            RunArtifact::validate(r#"{"schema":{"name":"tbf-run-artifact","version":1}}"#).is_ok()
+        );
     }
 
     #[test]

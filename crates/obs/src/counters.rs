@@ -32,8 +32,6 @@ pub enum Metric {
     /// Operation-cache flushes (`clear_op_caches`). Arena-level
     /// mark-and-sweep passes are counted separately as `GcSweeps`.
     GcRuns,
-    /// Adjacent-level swaps performed while sifting.
-    SiftSwaps,
     /// Budget cancellation probes (`AnalysisBudget::poll`).
     BudgetPolls,
     /// Timed-function gate BDDs actually built by the delay-model
@@ -64,14 +62,13 @@ pub enum Metric {
 
 impl Metric {
     /// Every metric, in registry (serialization) order.
-    pub const ALL: [Metric; 16] = [
+    pub const ALL: [Metric; 15] = [
         Metric::IteCalls,
         Metric::CacheHits,
         Metric::CacheMisses,
         Metric::UniqueTableProbes,
         Metric::NodesAllocated,
         Metric::GcRuns,
-        Metric::SiftSwaps,
         Metric::BudgetPolls,
         Metric::TbfInstantiations,
         Metric::TbfCacheHits,
@@ -92,7 +89,6 @@ impl Metric {
             Metric::UniqueTableProbes => "unique_table_probes",
             Metric::NodesAllocated => "nodes_allocated",
             Metric::GcRuns => "gc_runs",
-            Metric::SiftSwaps => "sift_swaps",
             Metric::BudgetPolls => "budget_polls",
             Metric::TbfInstantiations => "tbf_instantiations",
             Metric::TbfCacheHits => "tbf_cache_hits",
@@ -113,20 +109,17 @@ impl Metric {
 /// Named log₂-bucket histograms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HistMetric {
-    /// Live BDD node count observed at the start of each sifting pass.
-    SiftLiveNodes,
     /// Breakpoints visited per analyzed cone.
     ConeBreakpoints,
 }
 
 impl HistMetric {
     /// Every histogram metric, in registry (serialization) order.
-    pub const ALL: [HistMetric; 2] = [HistMetric::SiftLiveNodes, HistMetric::ConeBreakpoints];
+    pub const ALL: [HistMetric; 1] = [HistMetric::ConeBreakpoints];
 
     /// The histogram's stable `snake_case` name, as serialized.
     pub fn name(self) -> &'static str {
         match self {
-            HistMetric::SiftLiveNodes => "sift_live_nodes",
             HistMetric::ConeBreakpoints => "cone_breakpoints",
         }
     }
@@ -215,10 +208,10 @@ impl Histogram {
 /// ```
 /// use tbf_obs::{Counters, HistMetric, Metric};
 /// let c = Counters::new();
-/// c.bump(Metric::SiftSwaps);
-/// c.observe(HistMetric::SiftLiveNodes, 1000);
-/// assert_eq!(c.get(Metric::SiftSwaps), 1);
-/// assert_eq!(c.histogram(HistMetric::SiftLiveNodes).count(), 1);
+/// c.bump(Metric::GcSweeps);
+/// c.observe(HistMetric::ConeBreakpoints, 1000);
+/// assert_eq!(c.get(Metric::GcSweeps), 1);
+/// assert_eq!(c.histogram(HistMetric::ConeBreakpoints).count(), 1);
 /// ```
 #[derive(Debug)]
 pub struct Counters {
@@ -230,7 +223,7 @@ impl Default for Counters {
     fn default() -> Self {
         Counters {
             vals: [ZERO; Metric::ALL.len()],
-            hists: [Histogram::new(), Histogram::new()],
+            hists: [Histogram::new()],
         }
     }
 }
@@ -306,8 +299,8 @@ mod tests {
         assert_eq!(snap.len(), Metric::ALL.len());
         assert_eq!(snap[0].0, "ite_calls");
         assert_eq!(snap[5], ("gc_runs", 1));
-        assert_eq!(snap[14].0, "gc_sweeps");
-        assert_eq!(snap[15].0, "gc_nodes_reclaimed");
+        assert_eq!(snap[13].0, "gc_sweeps");
+        assert_eq!(snap[14].0, "gc_nodes_reclaimed");
     }
 
     #[test]

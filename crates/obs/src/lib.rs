@@ -5,7 +5,7 @@
 //!
 //! * **Deterministic effort counters** ([`Counters`], [`Metric`],
 //!   [`Histogram`]) — lock-free atomic tallies of *logical work*
-//!   (ITE calls, cache hits, nodes allocated, sift swaps). Because the
+//!   (ITE calls, cache hits, nodes allocated, GC sweeps). Because the
 //!   engines' work is deterministic and u64 addition is commutative,
 //!   counter totals are byte-identical at every thread count.
 //! * **Volatile timing** — wall-clock figures attached to the phase
