@@ -71,11 +71,6 @@ impl BddManager {
         self.gc_policy
     }
 
-    /// Whether any sweep can ever fire automatically.
-    pub fn gc_enabled(&self) -> bool {
-        self.gc_policy != GcPolicy::None
-    }
-
     /// Cumulative sweep/reclaim counters.
     pub fn gc_stats(&self) -> GcStats {
         self.gc_stats

@@ -1,28 +1,29 @@
-//! Node-limit and cancellation support: fallible operation variants that
-//! abort cleanly when the manager grows past a configured cap or a
-//! cooperative cancel signal fires.
+//! Budgeted operations: fallible variants that abort cleanly when the
+//! manager grows past a node cap or a cooperative cancel signal fires.
 //!
 //! A single `xor` or quantification between large BDDs can allocate an
 //! unbounded number of nodes *inside* one call — external polling of
 //! [`node_count`](BddManager::node_count) between calls cannot bound it.
-//! The `try_*` variants check the cap at every node allocation and
-//! return [`NodeLimitExceeded`]; the manager stays fully consistent
-//! (unique table and caches only ever hold canonical entries), so the
-//! caller can clear caches, compact, or give up with typed bounds.
-//!
-//! The `try_*_b` variants additionally poll an [`OpBudget`]'s cancel
-//! callback at the same allocation granularity, so a deadline or
+//! Each `try_*_b` operation takes an [`OpBudget`] and checks it at every
+//! node allocation: past the budget's node cap it returns
+//! [`OpAbort::NodeLimit`], and when the budget's cancel callback reports
+//! `true` it returns [`OpAbort::Cancelled`], so a deadline or a
 //! user-initiated cancellation interrupts a long-running operation
-//! *mid-flight* rather than after it completes.  Rate-limiting of any
+//! *mid-flight* rather than after it completes. Rate-limiting of any
 //! expensive check (e.g. reading the clock) belongs inside the callback;
 //! the manager calls it unconditionally.
+//!
+//! After an abort the manager stays fully consistent (unique table and
+//! caches only ever hold canonical entries), so the caller can clear
+//! caches, compact, or give up with typed bounds.
 
 use std::fmt;
 
 use crate::manager::BddManager;
 use crate::node::{Bdd, Var};
 
-/// The manager grew past the cap passed to a `try_*` operation.
+/// The manager grew past the node cap of a budgeted operation's
+/// [`OpBudget`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeLimitExceeded {
     /// The cap that was hit.
@@ -124,16 +125,6 @@ impl<'a> OpBudget<'a> {
     }
 }
 
-/// Maps an abort from a cancel-free budget back to the legacy error
-/// type.  `Cancelled` cannot occur without a callback; fold it into the
-/// node-limit error defensively rather than panicking.
-fn abort_to_limit(a: OpAbort, limit: usize) -> NodeLimitExceeded {
-    match a {
-        OpAbort::NodeLimit(e) => e,
-        OpAbort::Cancelled => NodeLimitExceeded { limit },
-    }
-}
-
 impl BddManager {
     fn mk_budgeted(
         &mut self,
@@ -144,22 +135,6 @@ impl BddManager {
     ) -> Result<Bdd, OpAbort> {
         budget.check(self.node_count())?;
         Ok(self.mk(var, lo, hi))
-    }
-
-    /// If-then-else that aborts once the manager exceeds `limit` nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NodeLimitExceeded`] when the cap is hit.
-    pub fn try_ite(
-        &mut self,
-        f: Bdd,
-        g: Bdd,
-        h: Bdd,
-        limit: usize,
-    ) -> Result<Bdd, NodeLimitExceeded> {
-        self.try_ite_b(f, g, h, &OpBudget::nodes_only(limit))
-            .map_err(|a| abort_to_limit(a, limit))
     }
 
     /// If-then-else under a full [`OpBudget`]. The arguments are first
@@ -249,16 +224,6 @@ impl BddManager {
         Ok(if neg_result { r.negate() } else { r })
     }
 
-    /// XOR that aborts once the manager exceeds `limit` nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NodeLimitExceeded`] when the cap is hit.
-    pub fn try_xor(&mut self, f: Bdd, g: Bdd, limit: usize) -> Result<Bdd, NodeLimitExceeded> {
-        self.try_xor_b(f, g, &OpBudget::nodes_only(limit))
-            .map_err(|a| abort_to_limit(a, limit))
-    }
-
     /// XOR under a full [`OpBudget`].
     ///
     /// # Errors
@@ -266,16 +231,6 @@ impl BddManager {
     /// Returns [`OpAbort`] when the cap is hit or cancellation fires.
     pub fn try_xor_b(&mut self, f: Bdd, g: Bdd, budget: &OpBudget<'_>) -> Result<Bdd, OpAbort> {
         self.try_ite_b(f, g.negate(), g, budget)
-    }
-
-    /// Conjunction that aborts once the manager exceeds `limit` nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NodeLimitExceeded`] when the cap is hit.
-    pub fn try_and(&mut self, f: Bdd, g: Bdd, limit: usize) -> Result<Bdd, NodeLimitExceeded> {
-        self.try_and_b(f, g, &OpBudget::nodes_only(limit))
-            .map_err(|a| abort_to_limit(a, limit))
     }
 
     /// Conjunction under a full [`OpBudget`].
@@ -287,16 +242,6 @@ impl BddManager {
         self.try_ite_b(f, g, Bdd::FALSE, budget)
     }
 
-    /// Disjunction that aborts once the manager exceeds `limit` nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NodeLimitExceeded`] when the cap is hit.
-    pub fn try_or(&mut self, f: Bdd, g: Bdd, limit: usize) -> Result<Bdd, NodeLimitExceeded> {
-        self.try_or_b(f, g, &OpBudget::nodes_only(limit))
-            .map_err(|a| abort_to_limit(a, limit))
-    }
-
     /// Disjunction under a full [`OpBudget`].
     ///
     /// # Errors
@@ -304,17 +249,6 @@ impl BddManager {
     /// Returns [`OpAbort`] when the cap is hit or cancellation fires.
     pub fn try_or_b(&mut self, f: Bdd, g: Bdd, budget: &OpBudget<'_>) -> Result<Bdd, OpAbort> {
         self.try_ite_b(f, Bdd::TRUE, g, budget)
-    }
-
-    /// Existential quantification that aborts once the manager exceeds
-    /// `limit` nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NodeLimitExceeded`] when the cap is hit.
-    pub fn try_exists(&mut self, f: Bdd, v: Var, limit: usize) -> Result<Bdd, NodeLimitExceeded> {
-        self.try_exists_b(f, v, &OpBudget::nodes_only(limit))
-            .map_err(|a| abort_to_limit(a, limit))
     }
 
     /// Existential quantification under a full [`OpBudget`].
@@ -368,26 +302,10 @@ impl BddManager {
         Ok(r)
     }
 
-    /// Existentially quantifies every variable in `vs`, clearing the
-    /// operation caches whenever they outgrow the node table (they can
-    /// dominate memory on long quantification chains).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NodeLimitExceeded`] when the cap is hit.
-    pub fn try_exists_all(
-        &mut self,
-        f: Bdd,
-        vs: &[Var],
-        limit: usize,
-    ) -> Result<Bdd, NodeLimitExceeded> {
-        self.try_exists_all_b(f, vs, &OpBudget::nodes_only(limit))
-            .map_err(|a| abort_to_limit(a, limit))
-    }
-
-    /// Multi-variable existential quantification under a full
-    /// [`OpBudget`], with the same cache-pressure relief as
-    /// [`try_exists_all`](BddManager::try_exists_all).
+    /// Existentially quantifies every variable in `vs` under a full
+    /// [`OpBudget`], clearing the operation caches whenever they outgrow
+    /// the node table (they can dominate memory on long quantification
+    /// chains).
     ///
     /// # Errors
     ///
@@ -436,14 +354,15 @@ mod tests {
         let x = m.new_var();
         let y = m.new_var();
         let (vx, vy) = (m.var(x), m.var(y));
+        let budget = OpBudget::nodes_only(1_000_000);
         let a = m.xor(vx, vy);
-        let b = m.try_xor(vx, vy, 1_000_000).unwrap();
+        let b = m.try_xor_b(vx, vy, &budget).unwrap();
         assert_eq!(a, b);
         let c = m.and(vx, vy);
-        let d = m.try_and(vx, vy, 1_000_000).unwrap();
+        let d = m.try_and_b(vx, vy, &budget).unwrap();
         assert_eq!(c, d);
         let e = m.exists(a, x);
-        let f = m.try_exists(a, x, 1_000_000).unwrap();
+        let f = m.try_exists_b(a, x, &budget).unwrap();
         assert_eq!(e, f);
     }
 
@@ -451,16 +370,17 @@ mod tests {
     fn tiny_limit_aborts_cleanly() {
         let mut m = BddManager::new();
         let (f, _) = hard_function(&mut m, 6);
-        let baseline = m.node_count();
+        let limit = m.node_count() + 4;
+        let budget = OpBudget::nodes_only(limit);
         let g = {
             let vars: Vec<Var> = (0..12).map(crate::node::Var).collect();
             let mut acc = f;
             for v in vars {
-                let r = m.try_exists(acc, v, baseline + 4);
+                let r = m.try_exists_b(acc, v, &budget);
                 match r {
                     Ok(x) => acc = x,
                     Err(e) => {
-                        assert_eq!(e.limit, baseline + 4);
+                        assert_eq!(e, OpAbort::NodeLimit(NodeLimitExceeded { limit }));
                         return; // aborted as intended
                     }
                 }
@@ -476,7 +396,7 @@ mod tests {
         let mut m = BddManager::new();
         let (f, ys) = hard_function(&mut m, 8);
         let cap = m.node_count() + 2;
-        let err = m.try_exists_all(f, &ys, cap);
+        let err = m.try_exists_all_b(f, &ys, &OpBudget::nodes_only(cap));
         if err.is_ok() {
             // Structure happened to stay tiny; force an abort differently.
             return;
@@ -530,21 +450,5 @@ mod tests {
         let budget = OpBudget::with_cancel(1_000_000, &probe);
         let a = m.try_xor_b(vx, vy, &budget).unwrap();
         assert_eq!(a, m.xor(vx, vy));
-    }
-
-    #[test]
-    fn budgeted_node_limit_matches_legacy() {
-        let mut m = BddManager::new();
-        let (f, ys) = hard_function(&mut m, 8);
-        let cap = m.node_count() + 2;
-        let legacy = m.try_exists_all(f, &ys, cap);
-        let mut m2 = BddManager::new();
-        let (f2, ys2) = hard_function(&mut m2, 8);
-        let budgeted = m2.try_exists_all_b(f2, &ys2, &OpBudget::nodes_only(cap));
-        match (legacy, budgeted) {
-            (Err(e), Err(OpAbort::NodeLimit(e2))) => assert_eq!(e.limit, e2.limit),
-            (Ok(a), Ok(b)) => assert_eq!(a, b),
-            (a, b) => panic!("divergence: {a:?} vs {b:?}"),
-        }
     }
 }

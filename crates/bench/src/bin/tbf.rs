@@ -505,11 +505,10 @@ fn run_models(args: &Args, netlist: &Netlist, options: &DelayOptions) -> (u32, V
 
 fn serve_usage() {
     eprintln!(
-        "usage: tbf serve [--threads N] [--listen SOCKET_PATH] [--max-in-flight N] \
-         [--max-gates N] [--max-frame-bytes N] [--session-time-budget MS] \
-         [--max-requests N] [--max-attempts N] [--backoff MS] [--max-backoff MS] \
-         [--cache-capacity N] [--max-sessions N] [--drain MS] [--max-paths N] [--max-bdd N] \
-         [--emit-metrics PATH] [--quiet]\n\
+        "usage: tbf serve [--threads N] [--listen SOCKET_PATH] [--max-gates N] \
+         [--max-frame-bytes N] [--session-time-budget MS] [--max-requests N] \
+         [--max-attempts N] [--cache-capacity N] [--max-sessions N] [--drain MS] \
+         [--max-paths N] [--max-bdd N] [--emit-metrics PATH] [--quiet]\n\
          \n\
          Reads one JSON request per line on stdin (or SOCKET_PATH) and writes one\n\
          schema-versioned JSON response per line; EOF or SIGTERM drains and exits 0."
@@ -530,10 +529,6 @@ fn parse_serve_args(
         match a.as_str() {
             "--threads" => config.threads = parsed("--threads", value("--threads")?)? as usize,
             "--listen" => runner.listen = Some(value("--listen")?),
-            "--max-in-flight" => {
-                config.max_in_flight =
-                    parsed("--max-in-flight", value("--max-in-flight")?)? as usize;
-            }
             "--max-gates" => {
                 config.max_gates = parsed("--max-gates", value("--max-gates")?)? as usize;
             }
@@ -553,10 +548,6 @@ fn parse_serve_args(
             "--max-attempts" => {
                 config.max_attempts =
                     parsed("--max-attempts", value("--max-attempts")?)?.max(1) as u32;
-            }
-            "--backoff" => config.backoff_ms = parsed("--backoff", value("--backoff")?)?,
-            "--max-backoff" => {
-                config.max_backoff_ms = parsed("--max-backoff", value("--max-backoff")?)?;
             }
             "--cache-capacity" => {
                 config.cache_capacity =

@@ -97,7 +97,6 @@ pub struct AnalysisBudget {
     max_paths: AtomicUsize,
     max_bdd_nodes: AtomicUsize,
     max_cubes: AtomicUsize,
-    max_breakpoints: AtomicUsize,
     started: Instant,
     time_budget: Option<Duration>,
     deadline: Option<Instant>,
@@ -122,7 +121,6 @@ impl AnalysisBudget {
             max_paths: AtomicUsize::new(options.max_straddling_paths),
             max_bdd_nodes: AtomicUsize::new(options.max_bdd_nodes),
             max_cubes: AtomicUsize::new(options.max_cubes),
-            max_breakpoints: AtomicUsize::new(options.max_breakpoints),
             started,
             time_budget: options.time_budget,
             deadline: options.time_budget.map(|b| started + b),
@@ -164,7 +162,6 @@ impl AnalysisBudget {
             max_paths: AtomicUsize::new(options.max_straddling_paths),
             max_bdd_nodes: AtomicUsize::new(options.max_bdd_nodes),
             max_cubes: AtomicUsize::new(options.max_cubes),
-            max_breakpoints: AtomicUsize::new(options.max_breakpoints),
             started: self.started,
             time_budget: self.time_budget,
             deadline: self.deadline,
@@ -202,7 +199,6 @@ impl AnalysisBudget {
             max_paths: AtomicUsize::new(options.max_straddling_paths),
             max_bdd_nodes: AtomicUsize::new(options.max_bdd_nodes),
             max_cubes: AtomicUsize::new(options.max_cubes),
-            max_breakpoints: AtomicUsize::new(options.max_breakpoints),
             started,
             time_budget: options.time_budget,
             deadline,
@@ -242,36 +238,14 @@ impl AnalysisBudget {
         self.max_cubes.load(Ordering::Relaxed)
     }
 
-    /// Current breakpoint cap.
-    pub fn max_breakpoints(&self) -> usize {
-        self.max_breakpoints.load(Ordering::Relaxed)
-    }
-
     /// Multiplies every resource cap by `factor` (saturating). The
     /// deadline and token are untouched: escalation buys space, not
     /// time.
     pub fn escalate(&self, factor: usize) {
-        for cap in [
-            &self.max_paths,
-            &self.max_bdd_nodes,
-            &self.max_cubes,
-            &self.max_breakpoints,
-        ] {
+        for cap in [&self.max_paths, &self.max_bdd_nodes, &self.max_cubes] {
             let cur = cap.load(Ordering::Relaxed);
             cap.store(cur.saturating_mul(factor), Ordering::Relaxed);
         }
-    }
-
-    /// Restores the caps to the given options' values (undoing
-    /// escalation before the next cone).
-    pub fn restore_caps(&self, options: &DelayOptions) {
-        self.max_paths
-            .store(options.max_straddling_paths, Ordering::Relaxed);
-        self.max_bdd_nodes
-            .store(options.max_bdd_nodes, Ordering::Relaxed);
-        self.max_cubes.store(options.max_cubes, Ordering::Relaxed);
-        self.max_breakpoints
-            .store(options.max_breakpoints, Ordering::Relaxed);
     }
 
     /// Milliseconds since the budget was created.
@@ -383,7 +357,6 @@ mod tests {
             max_straddling_paths: 10,
             max_bdd_nodes: 100,
             max_cubes: 7,
-            max_breakpoints: 3,
             ..DelayOptions::default()
         };
         let b = AnalysisBudget::from_options(&opts);
@@ -391,15 +364,13 @@ mod tests {
         assert_eq!(b.max_bdd_nodes(), 100);
         b.escalate(4);
         assert_eq!(b.max_paths(), 40);
+        assert_eq!(b.max_bdd_nodes(), 400);
         assert_eq!(b.max_cubes(), 28);
-        assert_eq!(b.max_breakpoints(), 12);
-        b.restore_caps(&opts);
-        assert_eq!(b.max_paths(), 10);
         // Escalation saturates instead of overflowing.
         let huge = AnalysisBudget::from_options(&DelayOptions::default());
-        huge.max_breakpoints.store(usize::MAX, Ordering::Relaxed);
+        huge.max_cubes.store(usize::MAX, Ordering::Relaxed);
         huge.escalate(1000);
-        assert_eq!(huge.max_breakpoints(), usize::MAX);
+        assert_eq!(huge.max_cubes(), usize::MAX);
     }
 
     #[test]
@@ -408,7 +379,6 @@ mod tests {
             max_straddling_paths: 10,
             max_bdd_nodes: 100,
             max_cubes: 7,
-            max_breakpoints: 3,
             ..DelayOptions::default()
         };
         let base = AnalysisBudget::from_options(&opts);

@@ -5,9 +5,8 @@
 //! [`analyze`] runs every output cone down a ladder of rungs:
 //!
 //! 1. **Exact** 2-vector analysis under the configured caps.
-//! 2. **Retry** with escalated caps after a manager reset, up to
-//!    [`AnalysisPolicy::max_retries`] times (resource caps only — a spent
-//!    deadline cannot be escalated away).
+//! 2. **Retry** once with every cap escalated ×4 after a manager reset
+//!    (resource caps only — a spent deadline cannot be escalated away).
 //! 3. **Sequences upper bound**: the ω⁻ delay dominates the 2-vector
 //!    delay (more switching freedom can only delay the last transition)
 //!    and needs no cube enumeration or LP, so it often fits in caps the
@@ -58,16 +57,18 @@ use crate::options::DelayOptions;
 use crate::report::{DegradeCause, DelayWitness, OutputDelay, OutputStatus, SearchStats};
 use crate::two_vector::WitnessParts;
 
+/// How many times a cone that hit a resource cap is retried with
+/// escalated caps (after a manager reset).
+const MAX_RETRIES: usize = 1;
+
+/// Cap multiplier applied per retry.
+const ESCALATION_FACTOR: usize = 4;
+
 /// How [`analyze`] trades exactness for robustness.
 #[derive(Clone, Debug)]
 pub struct AnalysisPolicy {
     /// Resource caps and time budget for the underlying engines.
     pub options: DelayOptions,
-    /// How many times a cone that hit a resource cap is retried with
-    /// escalated caps (after a manager reset).
-    pub max_retries: usize,
-    /// Cap multiplier applied per retry.
-    pub escalation_factor: usize,
     /// Worker threads for cone analysis: `1` (the default) runs on the
     /// calling thread, `0` means one worker per available core, any
     /// other value is used as given (clamped to the number of cones).
@@ -79,16 +80,13 @@ impl Default for AnalysisPolicy {
     fn default() -> Self {
         AnalysisPolicy {
             options: DelayOptions::default(),
-            max_retries: 1,
-            escalation_factor: 4,
             threads: 1,
         }
     }
 }
 
 impl AnalysisPolicy {
-    /// A policy wrapping the given engine options with default ladder
-    /// behavior.
+    /// A single-threaded policy wrapping the given engine options.
     #[must_use]
     pub fn with_options(options: DelayOptions) -> Self {
         AnalysisPolicy {
@@ -477,10 +475,17 @@ impl ConeStore {
         if !outcome.entry.is_exact() {
             return;
         }
+        let outcome = ConeOutcome {
+            // The phase subtree records this run's work; a request that
+            // reuses the cone does none, so it must not replay the spans.
+            #[cfg(feature = "obs")]
+            phases: Vec::new(),
+            ..outcome.clone()
+        };
         self.entries.insert(
             key.to_vec(),
             StoredCone {
-                outcome: outcome.clone(),
+                outcome,
                 touched: self.epoch,
             },
         );
@@ -678,7 +683,7 @@ fn run_cone_job(
         let budget = Arc::new(base.fork(&policy.options));
         let run = || {
             let mut stats = SearchStats::default();
-            let (entry, witness) = cone_rungs(job, policy, &budget, &mut stats);
+            let (entry, witness) = cone_rungs(job, &budget, &mut stats);
             ConeOutcome {
                 entry,
                 stats,
@@ -707,7 +712,6 @@ fn run_cone_job(
 /// witness parts when the cone resolved exactly with a transition.
 fn cone_rungs(
     job: &ConeJob,
-    policy: &AnalysisPolicy,
     budget: &Arc<AnalysisBudget>,
     stats: &mut SearchStats,
 ) -> (OutputDelay, Option<(Time, WitnessParts)>) {
@@ -773,14 +777,14 @@ fn cone_rungs(
                         | DegradeCause::BddTooLarge
                         | DegradeCause::TooManyCubes
                 );
-                if retryable && attempts < policy.max_retries {
+                if retryable && attempts < MAX_RETRIES {
                     attempts += 1;
                     stats.retries += 1;
                     #[cfg(feature = "obs")]
                     {
                         rung_name = "escalated_retry";
                     }
-                    budget.escalate(policy.escalation_factor);
+                    budget.escalate(ESCALATION_FACTOR);
                     // Reset drops dead nodes and rebuilds statics under
                     // the new caps; a failed reset forces a fresh engine.
                     if let Some(eng) = engine.as_mut() {
@@ -977,7 +981,7 @@ mod tests {
 
     #[test]
     fn exhausted_retries_degrade_with_sound_bounds() {
-        // Same circuit, but retries can't reach 10 paths: caps 1 → 2.
+        // Same circuit, but the one retry can't reach 10 paths: caps 1 → 4.
         let mut b = Netlist::builder();
         let x = b.input("x");
         let mut bufs = Vec::new();
@@ -997,20 +1001,16 @@ mod tests {
             .unwrap();
         b.output("f", g);
         let n = b.finish().unwrap();
-        let policy = AnalysisPolicy {
-            options: DelayOptions {
-                max_straddling_paths: 1,
-                ..DelayOptions::default()
-            },
-            escalation_factor: 2,
-            ..AnalysisPolicy::default()
-        };
+        let policy = AnalysisPolicy::with_options(DelayOptions {
+            max_straddling_paths: 1,
+            ..DelayOptions::default()
+        });
         let r = analyze(&n, &policy);
         assert!(!r.all_exact());
         // The exact delay is 4; whatever ladder rung produced the answer,
         // the bounds must contain it.
         assert!(r.lower <= t(4) && t(4) <= r.upper, "{r}");
-        assert!(r.stats.retries >= 1);
+        assert_eq!(r.stats.retries, 1);
     }
 
     #[test]
@@ -1171,14 +1171,10 @@ mod tests {
         // Under the caps of `exhausted_retries_degrade_with_sound_bounds`
         // "hard" degrades; its sibling "easy" resolves exactly.
         let n = hard_and_easy();
-        let policy = AnalysisPolicy {
-            options: DelayOptions {
-                max_straddling_paths: 1,
-                ..DelayOptions::default()
-            },
-            escalation_factor: 2,
-            ..AnalysisPolicy::default()
-        };
+        let policy = AnalysisPolicy::with_options(DelayOptions {
+            max_straddling_paths: 1,
+            ..DelayOptions::default()
+        });
         let budget = || AnalysisBudget::from_options(&policy.options).shared();
         let mut store = ConeStore::new(64);
         let (r1, e1) = analyze_eco(&n, &policy, budget(), &mut store, true);

@@ -92,19 +92,10 @@ pub(crate) fn cone_delay(
     stats: &mut SearchStats,
 ) -> Result<(Time, Option<WitnessParts>), DelayError> {
     let mut b_opt = model.breakpoints(cx, output, Time::MAX);
-    let mut visited = 0usize;
     while let Some(b) = b_opt {
-        visited += 1;
         stats.breakpoints_visited += 1;
         if cx.budget.check_now().is_some() || fault::trip(Site::Breakpoint) {
             return Err(cx.budget.interrupt_error(b, (Time::ZERO, b)));
-        }
-        if visited > cx.budget.max_breakpoints() {
-            return Err(DelayError::TooManyCubes {
-                limit: cx.budget.max_breakpoints(),
-                at_breakpoint: b,
-                bounds: (Time::ZERO, b),
-            });
         }
         let lower_bp = model.breakpoints(cx, output, b);
         let window_lo = lower_bp.unwrap_or(Time::ZERO);

@@ -28,9 +28,6 @@ pub struct DelayOptions {
     pub max_bdd_nodes: usize,
     /// Cap on XOR-BDD cubes examined per breakpoint.
     pub max_cubes: usize,
-    /// Cap on breakpoints visited per output (a safety net against
-    /// adversarial delay grids; `usize::MAX` by default).
-    pub max_breakpoints: usize,
     /// Wall-clock budget for one engine invocation (`None` = unlimited).
     /// Exceeding it yields [`DelayError::TimedOut`](crate::DelayError)
     /// with sound bounds, checked between breakpoints.
@@ -43,7 +40,6 @@ impl Default for DelayOptions {
             max_straddling_paths: 20_000,
             max_bdd_nodes: 4_000_000,
             max_cubes: 50_000,
-            max_breakpoints: usize::MAX,
             time_budget: None,
         }
     }
@@ -59,7 +55,6 @@ mod tests {
         assert!(o.max_straddling_paths >= 10_000);
         assert!(o.max_bdd_nodes >= 1_000_000);
         assert!(o.max_cubes >= 10_000);
-        assert_eq!(o.max_breakpoints, usize::MAX);
         assert!(o.time_budget.is_none());
     }
 

@@ -8,9 +8,10 @@
 //! order). The decoy sits inside the hard cone on purpose: the driver
 //! analyzes each output on its own cone-restricted engine, so an
 //! order-pinning gate in a *sibling* cone would no longer poison this
-//! one. A single `try_xor`/`try_and` chain inside `Engine::new` would
-//! run for a very long time — so the deadline/token must fire *inside*
-//! the operation, not between ladder rungs.
+//! one. A single `try_xor_b`/`try_and_b` chain inside
+//! `ConeContext::new` would run for a very long time — so the
+//! deadline/token must fire *inside* the operation, not between ladder
+//! rungs.
 
 use std::time::{Duration, Instant};
 
@@ -70,7 +71,6 @@ fn uncapped_with(time_budget: Option<Duration>) -> DelayOptions {
         max_straddling_paths: usize::MAX / 4,
         max_cubes: usize::MAX / 4,
         time_budget,
-        ..DelayOptions::default()
     }
 }
 

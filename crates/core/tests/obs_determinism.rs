@@ -8,7 +8,7 @@
 //! output order.
 
 use tbf_core::obs::{observe, RunObservation};
-use tbf_core::{analyze, AnalysisPolicy, DelayOptions};
+use tbf_core::{analyze, analyze_eco, AnalysisBudget, AnalysisPolicy, ConeStore, DelayOptions};
 use tbf_logic::generators::adders::{carry_bypass, paper_bypass_adder, ripple_carry};
 use tbf_logic::generators::figures::{figure1_three_paths, figure4_example3, figure6_glitch};
 use tbf_logic::generators::random::random_dag;
@@ -106,6 +106,29 @@ fn per_cone_budget_polls_land_in_their_cone_span() {
         total <= obs.counters.get(Metric::BudgetPolls),
         "per-cone polls cannot exceed the registry total"
     );
+}
+
+#[test]
+fn reused_cones_replay_no_phase_spans() {
+    // A cone answered from the store does no work in the run that reuses
+    // it, so that run records no spans and no BDD effort for it.
+    let netlist = ripple_carry(4, unit_ninety_percent());
+    let policy = policy(1);
+    let mut store = ConeStore::new(64);
+    let mut run = || {
+        observe(|| {
+            let budget = AnalysisBudget::from_options(&policy.options).shared();
+            analyze_eco(&netlist, &policy, budget, &mut store, true)
+        })
+    };
+    let (_, first) = run();
+    assert!(!first.phases.is_empty(), "the computing run records spans");
+    let ((report, eco), second) = run();
+    assert_eq!(eco.reused, netlist.outputs().len());
+    assert_eq!(eco.recomputed, 0);
+    assert!(second.phases.is_empty(), "{:?}", second.phases);
+    assert_eq!(second.counters.get(Metric::IteCalls), 0);
+    assert_eq!(report, analyze(&netlist, &policy));
 }
 
 #[test]

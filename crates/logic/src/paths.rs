@@ -240,16 +240,6 @@ impl Iterator for Breakpoints<'_> {
     }
 }
 
-/// Largest maximum path length over **all** outputs strictly below
-/// `below`.
-pub fn next_breakpoint_all(netlist: &Netlist, below: Time) -> Option<Time> {
-    netlist
-        .outputs()
-        .iter()
-        .filter_map(|&(_, out)| next_breakpoint(netlist, out, below))
-        .max()
-}
-
 /// Enumerates the paths to `output` that straddle the query point
 /// `t = b⁻` (`kᵐⁱⁿ < b ≤ kᵐᵃˣ`) — the delay-dependent paths of the TBF
 /// network at that time.
@@ -425,7 +415,6 @@ mod tests {
         assert_eq!(next_breakpoint(&n, out, Time::MAX), Some(t(6)));
         assert_eq!(next_breakpoint(&n, out, t(6)), Some(t(3)));
         assert_eq!(next_breakpoint(&n, out, t(3)), None);
-        assert_eq!(next_breakpoint_all(&n, t(6)), Some(t(3)));
     }
 
     #[test]

@@ -51,46 +51,6 @@ pub fn sweep(netlist: &Netlist) -> Netlist {
     rebuild(netlist, &keep).expect("sweeping cannot create errors")
 }
 
-/// Extracts the fanin cone of one output as a standalone netlist (that
-/// output only; unused inputs dropped).
-///
-/// # Panics
-///
-/// Panics if `output` does not name a primary output of `netlist`.
-pub fn extract_cone(netlist: &Netlist, output: &str) -> Netlist {
-    let &(_, root) = netlist
-        .outputs()
-        .iter()
-        .find(|(name, _)| name == output)
-        .unwrap_or_else(|| panic!("no output named `{output}`"));
-    let mut keep = vec![false; netlist.len()];
-    let mut stack = vec![root];
-    while let Some(n) = stack.pop() {
-        if keep[n.index()] {
-            continue;
-        }
-        keep[n.index()] = true;
-        stack.extend(netlist.node(n).fanins().iter().copied());
-    }
-    let mut b = Netlist::builder();
-    let mut map: HashMap<NodeId, NodeId> = HashMap::new();
-    for (id, node) in netlist.nodes() {
-        if !keep[id.index()] {
-            continue;
-        }
-        let new_id = if node.kind().is_input() {
-            b.input(node.name())
-        } else {
-            let fanins = node.fanins().iter().map(|f| map[f]).collect();
-            b.gate(node.kind(), node.name(), fanins, node.delay())
-                .expect("names unique in the source netlist")
-        };
-        map.insert(id, new_id);
-    }
-    b.output(output, map[&root]);
-    b.finish().expect("one output was declared")
-}
-
 /// A single-output cone extracted by [`extract_cone_slice`], with the
 /// index map needed to translate cone-local results (witness vectors,
 /// per-node delay assignments) back into the source netlist's
@@ -107,9 +67,9 @@ pub struct ConeSlice {
 
 /// Extracts the fanin cone of the `output_index`-th primary output as a
 /// standalone netlist plus the node map back to `netlist` — the per-cone
-/// work unit of the parallel analysis driver. Unlike [`extract_cone`]
-/// this addresses outputs by position, so duplicate output names and
-/// several outputs sharing one driver node stay unambiguous.
+/// work unit of the parallel analysis driver. Outputs are addressed by
+/// position, so duplicate output names and several outputs sharing one
+/// driver node stay unambiguous.
 ///
 /// # Panics
 ///
@@ -399,9 +359,9 @@ mod tests {
     }
 
     #[test]
-    fn extract_cone_isolates_one_output() {
+    fn extract_cone_slice_isolates_one_output() {
         let n = paper_bypass_adder();
-        let cone = extract_cone(&n, "cout");
+        let cone = extract_cone_slice(&n, 0).netlist;
         assert_eq!(cone.outputs().len(), 1);
         assert_eq!(cone.topological_delay(), Time::from_int(40));
         // Function agrees on shared inputs (same order by construction).
@@ -409,12 +369,6 @@ mod tests {
             let v: Vec<bool> = (0..9).map(|i| (bits >> i) & 1 == 1).collect();
             assert_eq!(cone.evaluate_outputs(&v), n.evaluate_outputs(&v));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "no output named")]
-    fn extract_cone_unknown_output_panics() {
-        let _ = extract_cone(&paper_bypass_adder(), "nope");
     }
 
     #[test]

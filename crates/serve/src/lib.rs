@@ -25,15 +25,14 @@
 //!   key, which is evicted and rebuilt. Panics are caught per cone (in
 //!   the driver) and again per request (here); nothing unwinds past a
 //!   frame boundary.
-//! * **Admission control** — a concurrent-slot cap, a session
-//!   wall-clock/request budget forked from
-//!   [`AnalysisBudget`](tbf_core::AnalysisBudget), and a gate-count cap
-//!   reject over-budget work up front with a typed `overloaded` response
-//!   instead of queuing unboundedly.
+//! * **Admission control** — a session wall-clock/request budget forked
+//!   from [`AnalysisBudget`](tbf_core::AnalysisBudget) and a gate-count
+//!   cap reject over-budget work up front with a typed `overloaded`
+//!   response instead of queuing unboundedly.
 //! * **Bounded retry** — transient failures (engine panics, internal
-//!   invariants) re-enter the degradation ladder under exponential
-//!   backoff; the response's `effort` member records attempts and ladder
-//!   retries.
+//!   invariants) re-enter the degradation ladder at once, up to
+//!   [`ServeConfig::max_attempts`] attempts in all; the response's
+//!   `effort` member records attempts and ladder retries.
 //! * **Graceful shutdown** — SIGTERM/EOF stops intake, drains received
 //!   frames under a drain deadline, cancels the remainder via
 //!   [`CancelToken`](tbf_core::CancelToken), and emits a final

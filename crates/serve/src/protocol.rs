@@ -103,9 +103,8 @@ pub enum ServeError {
         detail: String,
     },
     /// Admission control rejected the request up front instead of
-    /// queuing it: the session is at its concurrency cap, over its
-    /// request budget, past its deadline, or the circuit exceeds the
-    /// admission size cap.
+    /// queuing it: the session is over its request budget, past its
+    /// deadline, or the circuit exceeds the admission size cap.
     Overloaded {
         /// Which limit rejected the request.
         detail: String,

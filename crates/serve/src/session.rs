@@ -28,7 +28,6 @@
 //! `effort` member, which consumers strip (see
 //! [`crate::protocol::deterministic_view`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -50,9 +49,6 @@ pub struct ServeConfig {
     /// Worker threads per analysis (the `AnalysisPolicy::threads`
     /// default; requests may override).
     pub threads: usize,
-    /// Admission cap on concurrently in-flight requests (meaningful
-    /// under `--listen`, where multiple clients share the session).
-    pub max_in_flight: usize,
     /// Admission cap on circuit size, in gates (0 = unlimited).
     pub max_gates: usize,
     /// Longest accepted request frame, in bytes.
@@ -64,11 +60,6 @@ pub struct ServeConfig {
     pub max_requests: u64,
     /// Attempts per request (1 = no retry) for transient failures.
     pub max_attempts: u32,
-    /// Base backoff between attempts; attempt `k` waits
-    /// `backoff_ms << (k-1)`, capped by `max_backoff_ms`.
-    pub backoff_ms: u64,
-    /// Backoff ceiling.
-    pub max_backoff_ms: u64,
     /// Warm-cache capacity in results (0 disables the cache).
     pub cache_capacity: usize,
     /// Live ECO sessions the workspace retains (LRU beyond it).
@@ -84,14 +75,11 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             threads: 1,
-            max_in_flight: 4,
             max_gates: 0,
             max_frame_bytes: 1 << 20,
             session_time_budget: None,
             max_requests: 0,
             max_attempts: 3,
-            backoff_ms: 0,
-            max_backoff_ms: 100,
             cache_capacity: 1024,
             max_sessions: 8,
             drain: Duration::from_millis(2000),
@@ -121,43 +109,9 @@ pub struct SessionMetrics {
     pub cancelled: u64,
 }
 
-/// In-flight request slots, shared with listener threads. An RAII guard
-/// ([`SlotGuard`]) releases on drop, so a panicking handler can never
-/// leak a slot.
-#[derive(Clone, Debug, Default)]
-pub struct InFlight(Arc<AtomicU64>);
-
-/// Releases its [`InFlight`] slot on drop.
-pub struct SlotGuard(Arc<AtomicU64>);
-
-impl InFlight {
-    /// Tries to claim one of `cap` slots.
-    pub fn try_admit(&self, cap: usize) -> Option<SlotGuard> {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            if cur >= cap as u64 {
-                return None;
-            }
-            match self
-                .0
-                .compare_exchange_weak(cur, cur + 1, Ordering::AcqRel, Ordering::Relaxed)
-            {
-                Ok(_) => return Some(SlotGuard(Arc::clone(&self.0))),
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-}
-
-impl Drop for SlotGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
 /// One warm serve session. Not `Sync` — the stdio/socket runners funnel
-/// frames into the single session thread; only admission slots and
-/// cancel tokens cross threads.
+/// frames into the single session thread; only cancel tokens cross
+/// threads.
 pub struct Session {
     config: ServeConfig,
     cache: WarmCache,
@@ -171,8 +125,6 @@ pub struct Session {
     shutdown: CancelToken,
     /// The in-flight request's cancel handle, for the drain watchdog.
     live_token: Arc<Mutex<Option<CancelToken>>>,
-    /// Concurrency slots (shared with the socket listener).
-    in_flight: InFlight,
     metrics: SessionMetrics,
     /// Admitted analyses, for the `max_requests` budget.
     admitted: u64,
@@ -204,7 +156,6 @@ impl Session {
             budget: AnalysisBudget::from_options(&session_options),
             shutdown: CancelToken::new(),
             live_token: Arc::new(Mutex::new(None)),
-            in_flight: InFlight::default(),
             metrics: SessionMetrics::default(),
             admitted: 0,
             rows: Vec::new(),
@@ -224,12 +175,6 @@ impl Session {
     #[must_use]
     pub fn live_request_handle(&self) -> Arc<Mutex<Option<CancelToken>>> {
         Arc::clone(&self.live_token)
-    }
-
-    /// The admission slot pool (shared with socket listener threads).
-    #[must_use]
-    pub fn in_flight(&self) -> InFlight {
-        self.in_flight.clone()
     }
 
     /// Session totals so far.
@@ -270,17 +215,6 @@ impl Session {
         if let Err(err) = self.admit(&request) {
             return self.refuse(Some(&request.id), err);
         }
-        let _slot = match self.in_flight.try_admit(self.config.max_in_flight) {
-            Some(g) => g,
-            None => {
-                return self.refuse(
-                    Some(&request.id),
-                    ServeError::Overloaded {
-                        detail: format!("all {} request slots are busy", self.config.max_in_flight),
-                    },
-                )
-            }
-        };
         self.admitted += 1;
 
         // Session routing: an analyze request carrying `session`
@@ -386,7 +320,6 @@ impl Session {
         let policy = AnalysisPolicy {
             options: request.options.clone(),
             threads: request.threads.unwrap_or(self.config.threads),
-            ..AnalysisPolicy::default()
         };
         // The explicit cone-granular diff against the session base, for
         // the effort telemetry. Computed before the base is
@@ -439,7 +372,6 @@ impl Session {
                 AttemptOutcome::Report(report, eco) => {
                     if report_is_transient(&report) && attempts < max_attempts {
                         self.metrics.retries += 1;
-                        self.backoff(attempts);
                         continue;
                     }
                     if report
@@ -492,7 +424,6 @@ impl Session {
                     }
                     if attempts < max_attempts {
                         self.metrics.retries += 1;
-                        self.backoff(attempts);
                         continue;
                     }
                     let err = ServeError::InternalPanic { detail };
@@ -503,21 +434,6 @@ impl Session {
                 }
             }
         }
-    }
-
-    /// Bounded exponential backoff before attempt `next` (1-based count
-    /// of attempts already made).
-    fn backoff(&self, attempts_made: u64) {
-        if self.config.backoff_ms == 0 {
-            return;
-        }
-        let shift = (attempts_made - 1).min(16) as u32;
-        let wait = self
-            .config
-            .backoff_ms
-            .saturating_mul(1u64 << shift)
-            .min(self.config.max_backoff_ms);
-        std::thread::sleep(Duration::from_millis(wait));
     }
 
     fn refuse(&mut self, id: Option<&str>, err: ServeError) -> String {
@@ -623,10 +539,6 @@ impl Session {
             "config",
             Value::Obj(vec![
                 ("threads".to_owned(), Value::u64(self.config.threads as u64)),
-                (
-                    "max_in_flight".to_owned(),
-                    Value::u64(self.config.max_in_flight as u64),
-                ),
                 (
                     "max_frame_bytes".to_owned(),
                     Value::u64(self.config.max_frame_bytes as u64),
@@ -1012,15 +924,5 @@ mod tests {
         let doc2 = validate_response(&s.handle_line(&eco2)).expect("valid");
         assert_eq!(eco_counter(&doc2, "reused"), Some(2));
         assert_eq!(eco_counter(&doc2, "recomputed"), Some(0));
-    }
-
-    #[test]
-    fn in_flight_slots_are_bounded_and_released() {
-        let pool = InFlight::default();
-        let a = pool.try_admit(2).expect("slot 1");
-        let _b = pool.try_admit(2).expect("slot 2");
-        assert!(pool.try_admit(2).is_none(), "cap enforced");
-        drop(a);
-        assert!(pool.try_admit(2).is_some(), "slot released on drop");
     }
 }

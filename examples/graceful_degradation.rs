@@ -60,14 +60,10 @@ fn main() {
     //    the sequences/topological rungs — with sound bounds throughout.
     show(
         "max_straddling_paths = 1 (escalation + fallback rungs)",
-        &AnalysisPolicy {
-            options: DelayOptions {
-                max_straddling_paths: 1,
-                ..DelayOptions::default()
-            },
-            escalation_factor: 2,
-            ..AnalysisPolicy::default()
-        },
+        &AnalysisPolicy::with_options(DelayOptions {
+            max_straddling_paths: 1,
+            ..DelayOptions::default()
+        }),
     );
 
     // 3. A zero wall-clock budget: the deadline fires at the first

@@ -52,25 +52,16 @@ fn starved_analysis_always_returns_containing_bounds() {
             ..DelayOptions::default()
         }),
         AnalysisPolicy::with_options(DelayOptions {
-            max_breakpoints: 1,
-            ..DelayOptions::default()
-        }),
-        AnalysisPolicy::with_options(DelayOptions {
             time_budget: Some(Duration::ZERO),
             ..DelayOptions::default()
         }),
-        // Everything at once, and no retries to save it.
-        AnalysisPolicy {
-            options: DelayOptions {
-                max_straddling_paths: 1,
-                max_bdd_nodes: 8,
-                max_cubes: 1,
-                max_breakpoints: 1,
-                ..DelayOptions::default()
-            },
-            max_retries: 0,
-            ..AnalysisPolicy::default()
-        },
+        // Every cap at once.
+        AnalysisPolicy::with_options(DelayOptions {
+            max_straddling_paths: 1,
+            max_bdd_nodes: 8,
+            max_cubes: 1,
+            ..DelayOptions::default()
+        }),
     ];
     for (n, exact) in paper_examples() {
         for (i, policy) in policies.iter().enumerate() {

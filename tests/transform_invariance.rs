@@ -5,7 +5,7 @@ use tbf_suite::core::{sequences_delay, two_vector_delay, DelayOptions};
 use tbf_suite::logic::generators::adders::{carry_bypass, paper_bypass_adder};
 use tbf_suite::logic::generators::figures::figure4_example3;
 use tbf_suite::logic::generators::unit_ninety_percent;
-use tbf_suite::logic::transform::{decompose_to_binary, extract_cone, strash, sweep};
+use tbf_suite::logic::transform::{decompose_to_binary, extract_cone_slice, strash, sweep};
 use tbf_suite::logic::Time;
 
 fn opts() -> DelayOptions {
@@ -38,7 +38,7 @@ fn strash_preserves_exact_delays() {
 fn cone_extraction_matches_per_output_delay() {
     let n = paper_bypass_adder();
     let full = two_vector_delay(&n, &opts()).unwrap();
-    let cone = extract_cone(&n, "cout");
+    let cone = extract_cone_slice(&n, 0).netlist;
     let cone_delay = two_vector_delay(&cone, &opts()).unwrap().delay;
     assert_eq!(full.output_delay("cout"), Some(cone_delay));
     assert_eq!(cone_delay, Time::from_int(24));
