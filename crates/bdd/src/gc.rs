@@ -15,7 +15,8 @@
 //! * **Sweep.** Dead slots get the [`FREE_LEVEL`] sentinel payload and
 //!   go onto a free list that [`mk`](crate::BddManager::mk) pops before
 //!   growing the arena; live slots are reinserted into their variable's
-//!   unique subtable (right-sizing each one). The operation caches drop
+//!   unique subtable, which is first sized once for its survivors (the
+//!   capacity insertion would reach). The operation caches drop
 //!   every entry touching a dead node (a freed slot may be reused by a
 //!   different function) and keep the all-survivor rest — coherent
 //!   because canonicity lives in the unique table, not the memo tables.
@@ -169,17 +170,16 @@ impl BddManager {
                 }
             }
         }
-        // Sweep: rebuild the subtables from the survivors (ascending
-        // arena order — deterministic), collect the dead onto the free
-        // list (ascending pop order).
-        self.unique.clear_all();
+        // Sweep: collect the dead onto the free list (ascending pop
+        // order) and count each variable's survivors.
         self.free.clear();
+        let mut survivors = vec![0usize; self.var_count()];
         let mut reclaimed = 0usize;
         for (i, &live) in mark.iter().enumerate().skip(1) {
             if live {
-                let n = self.nodes[i];
-                debug_assert_ne!(n.var, TERMINAL_LEVEL);
-                self.unique.insert(n.var, i as u32, &self.nodes);
+                let var = self.nodes[i].var;
+                debug_assert_ne!(var, TERMINAL_LEVEL);
+                survivors[var as usize] += 1;
             } else {
                 if self.nodes[i].var != FREE_LEVEL {
                     reclaimed += 1;
@@ -194,6 +194,15 @@ impl BddManager {
         }
         // Pop order is LIFO: reverse so reuse fills low slots first.
         self.free.reverse();
+        // Rebuild the subtables from the survivors (ascending arena
+        // order — deterministic), each sized once up front to the
+        // capacity one-by-one insertion would grow it to.
+        self.unique.reset(&survivors);
+        for (i, &live) in mark.iter().enumerate().skip(1) {
+            if live {
+                self.unique.insert(self.nodes[i].var, i as u32, &self.nodes);
+            }
+        }
         // Op caches: entries whose operands and result all survived stay
         // correct (handles are stable and functions unchanged), and
         // keeping them preserves memoized work across the sweep. Any
@@ -299,6 +308,67 @@ mod tests {
         assert_eq!(m.maybe_gc(&[keep, vx, vy]), 0, "re-armed trigger");
         assert_eq!(m.gc_stats().sweeps, 1);
         assert_eq!(m.gc_stats().reclaimed, reclaimed as u64);
+    }
+
+    #[test]
+    fn sweep_sizes_each_subtable_as_insertion_would() {
+        let mut m = BddManager::new();
+        let xs: Vec<_> = (0..12).map(|_| m.new_var()).collect();
+        let spare = m.new_var();
+        // at_least[j] = "at least j of the variables folded so far are
+        // true". Folding from the bottom variable up leaves one node per
+        // threshold on each level, so the top subtables outgrow the
+        // minimum capacity.
+        let mut at_least = vec![Bdd::FALSE; xs.len() + 1];
+        at_least[0] = Bdd::TRUE;
+        for &x in xs.iter().rev() {
+            let vx = m.var(x);
+            for j in (1..at_least.len()).rev() {
+                at_least[j] = m.ite(vx, at_least[j - 1], at_least[j]);
+            }
+        }
+        // Garbage that owns every node of the spare variable.
+        let vs = m.var(spare);
+        for &t in &at_least {
+            m.xor(t, vs);
+        }
+        m.collect_garbage(&at_least[3..]);
+
+        let mut survivors = vec![0usize; m.var_count()];
+        for n in &m.nodes[1..] {
+            if n.var != FREE_LEVEL {
+                survivors[n.var as usize] += 1;
+            }
+        }
+        assert!(
+            survivors.iter().any(|&n| n > 7),
+            "no subtable outgrew 8 slots"
+        );
+        assert_eq!(survivors[spare.index()], 0);
+        for (var, &n) in survivors.iter().enumerate() {
+            let mut want = 0;
+            if n > 0 {
+                want = 8;
+                while n * 8 > want * 7 {
+                    want *= 2;
+                }
+            }
+            assert_eq!(
+                m.unique.capacity(var as u32),
+                want,
+                "var {var}, {n} survivors"
+            );
+        }
+
+        // Every survivor is interned under its own key: `mk` finds it.
+        let (occupied, arena) = (m.node_count(), m.arena_size());
+        for i in 1..arena {
+            let n = m.nodes[i];
+            if n.var != FREE_LEVEL {
+                assert_eq!(m.mk(n.var, n.lo, n.hi), Bdd::from_index(i), "slot {i}");
+            }
+        }
+        assert_eq!((m.node_count(), m.arena_size()), (occupied, arena));
     }
 
     #[test]

@@ -49,6 +49,7 @@
 
 mod cube;
 mod gc;
+mod hash;
 mod limit;
 mod manager;
 mod node;

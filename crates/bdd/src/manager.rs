@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 
+use crate::hash::OpCache;
 use crate::node::{Bdd, Node, Var, TERMINAL_LEVEL};
 use crate::unique::UniqueTables;
 
@@ -66,9 +67,9 @@ pub struct BddManager {
     /// once). Unlike [`node_count`](Self::node_count) this includes dead
     /// slots, so it measures what GC saves.
     pub(crate) peak_arena: usize,
-    pub(crate) ite_cache: HashMap<(Bdd, Bdd, Bdd), Bdd>,
-    pub(crate) quant_cache: HashMap<(Bdd, u32, bool), Bdd>,
-    pub(crate) compose_cache: HashMap<(Bdd, u32, Bdd), Bdd>,
+    pub(crate) ite_cache: OpCache<(Bdd, Bdd, Bdd)>,
+    pub(crate) quant_cache: OpCache<(Bdd, u32, bool)>,
+    pub(crate) compose_cache: OpCache<(Bdd, u32, Bdd)>,
     var_names: Vec<String>,
     /// Shared effort-counter registry (see [`crate::obs`]); `None` until
     /// [`set_counters`](Self::set_counters) installs one.
@@ -95,9 +96,9 @@ impl BddManager {
             gc_trigger: usize::MAX,
             gc_stats: crate::gc::GcStats::default(),
             peak_arena: 1,
-            ite_cache: HashMap::new(),
-            quant_cache: HashMap::new(),
-            compose_cache: HashMap::new(),
+            ite_cache: OpCache::default(),
+            quant_cache: OpCache::default(),
+            compose_cache: OpCache::default(),
             var_names: Vec::new(),
             #[cfg(feature = "obs")]
             counters: None,

@@ -41,7 +41,7 @@ impl BddManager {
         self.obs_bump(tbf_obs::Metric::IteCalls);
     }
 
-    /// One hit in any operation cache (ite, not, quantify, compose).
+    /// One hit in any operation cache (ite, quantify, compose).
     #[inline(always)]
     pub(crate) fn obs_cache_hit(&self) {
         #[cfg(feature = "obs")]

@@ -9,8 +9,8 @@
 //!   linear probing walks consecutive `u32` slots (one cache line holds
 //!   16 of them);
 //! * capacity tracks the *live* population of each variable: entries are
-//!   never removed one by one, and a GC sweep clears every subtable and
-//!   reinserts the survivors, right-sizing each one.
+//!   never removed one by one, and a GC sweep empties every subtable,
+//!   sizes it once for its survivors and reinserts them.
 //!
 //! The subtable stores slot indices only; node payloads `(lo, hi)` live
 //! in the arena and every operation takes `&[Node]` to compare keys.
@@ -115,10 +115,21 @@ impl SubTable {
         self.len += 1;
     }
 
-    /// Drops all entries *and* the slot storage (a following rebuild
-    /// right-sizes from scratch).
-    pub(crate) fn clear(&mut self) {
-        self.slots = Vec::new();
+    /// Drops all entries and sizes the slot array for `n` entries: the
+    /// capacity `n` inserts into an empty table grow it to (the smallest
+    /// power of two ≥ [`MIN_CAP`] at 7/8 load), or no storage when
+    /// `n == 0`. A slot array already of that size is reused.
+    pub(crate) fn reset(&mut self, n: usize) {
+        let cap = if n == 0 {
+            0
+        } else {
+            (n * 8).div_ceil(7).next_power_of_two().max(MIN_CAP)
+        };
+        if self.slots.len() == cap {
+            self.slots.fill(EMPTY);
+        } else {
+            self.slots = vec![EMPTY; cap];
+        }
         self.len = 0;
     }
 
@@ -165,12 +176,20 @@ impl UniqueTables {
         self.tables[var as usize].insert(slot, nodes);
     }
 
-    /// Drops every entry and every subtable's storage (GC sweep prelude;
-    /// the sweep reinserts the survivors, right-sizing each table).
-    pub(crate) fn clear_all(&mut self) {
-        for t in &mut self.tables {
-            t.clear();
+    /// Drops every entry and sizes each variable's subtable for its
+    /// `survivors[var]` entries (GC sweep prelude: reinserting the
+    /// survivors then never resizes).
+    pub(crate) fn reset(&mut self, survivors: &[usize]) {
+        debug_assert_eq!(survivors.len(), self.tables.len());
+        for (t, &n) in self.tables.iter_mut().zip(survivors) {
+            t.reset(n);
         }
+    }
+
+    /// Slot-array capacity of `var`'s subtable.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self, var: u32) -> usize {
+        self.tables[var as usize].capacity()
     }
 
     /// Total slot-array bytes across all subtables (memory telemetry).

@@ -103,12 +103,14 @@ pub struct AnalysisBudget {
     token: Option<CancelToken>,
     polls: AtomicU64,
     tripped: AtomicU8,
-    /// The observed run's shared counter registry. Forks clone the
-    /// `Arc`, so every cone on every worker reports into one registry;
-    /// u64 sums are commutative and the per-cone work is deterministic,
-    /// so totals are identical at every thread count.
+    /// The observed run's shared counter registry, `None` outside
+    /// [`observe`](crate::obs::observe) so unobserved work counts
+    /// nothing. Forks clone the `Arc`, so every cone on every worker
+    /// reports into one registry; u64 sums are commutative and the
+    /// per-cone work is deterministic, so totals are identical at every
+    /// thread count.
     #[cfg(feature = "obs")]
-    counters: Arc<tbf_obs::Counters>,
+    counters: Option<Arc<tbf_obs::Counters>>,
 }
 
 impl AnalysisBudget {
@@ -128,7 +130,7 @@ impl AnalysisBudget {
             polls: AtomicU64::new(0),
             tripped: AtomicU8::new(TRIP_NONE),
             #[cfg(feature = "obs")]
-            counters: crate::obs::session_counters().unwrap_or_else(tbf_obs::Counters::shared),
+            counters: crate::obs::session_counters(),
         }
     }
 
@@ -169,7 +171,7 @@ impl AnalysisBudget {
             polls: AtomicU64::new(0),
             tripped: AtomicU8::new(TRIP_NONE),
             #[cfg(feature = "obs")]
-            counters: Arc::clone(&self.counters),
+            counters: self.counters.clone(),
         }
     }
 
@@ -184,9 +186,10 @@ impl AnalysisBudget {
     /// Unlike [`fork`](Self::fork), which clones the parent's counter
     /// registry, a request fork binds to the *currently observed*
     /// session registry (see [`crate::obs::observe`]) when one is
-    /// installed. A warm process that wraps each request in `observe`
-    /// therefore gets per-request counters instead of accumulating the
-    /// whole session into one misleading artifact.
+    /// installed, else to the parent's (if any). A warm process that
+    /// wraps each request in `observe` therefore gets per-request
+    /// counters instead of accumulating the whole session into one
+    /// misleading artifact.
     #[must_use]
     pub fn fork_request(&self, options: &DelayOptions, token: CancelToken) -> Self {
         let started = Instant::now();
@@ -206,14 +209,15 @@ impl AnalysisBudget {
             polls: AtomicU64::new(0),
             tripped: AtomicU8::new(TRIP_NONE),
             #[cfg(feature = "obs")]
-            counters: crate::obs::session_counters().unwrap_or_else(|| Arc::clone(&self.counters)),
+            counters: crate::obs::session_counters().or_else(|| self.counters.clone()),
         }
     }
 
-    /// The counter registry this budget (and its forks) report into.
+    /// The counter registry this budget (and its forks) report into;
+    /// `None` when the budget was built outside an observed run.
     #[cfg(feature = "obs")]
-    pub(crate) fn counters(&self) -> &Arc<tbf_obs::Counters> {
-        &self.counters
+    pub(crate) fn counters(&self) -> Option<&Arc<tbf_obs::Counters>> {
+        self.counters.as_ref()
     }
 
     /// Cancellation probes consumed so far. Forks start from zero, so on
@@ -285,7 +289,9 @@ impl AnalysisBudget {
         }
         let n = self.polls.fetch_add(1, Ordering::Relaxed);
         #[cfg(feature = "obs")]
-        self.counters.bump(tbf_obs::Metric::BudgetPolls);
+        if let Some(c) = &self.counters {
+            c.bump(tbf_obs::Metric::BudgetPolls);
+        }
         if n.is_multiple_of(CLOCK_STRIDE) {
             if let Some(d) = self.deadline {
                 if Instant::now() > d {

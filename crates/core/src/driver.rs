@@ -515,8 +515,8 @@ impl ConeStore {
 /// cold start; exact results from such runs are still written back.
 ///
 /// The second return value reports the reuse split; under the `obs`
-/// feature the same numbers are folded into the budget's counter
-/// registry as `eco_cones_reused` / `eco_cones_recomputed`.
+/// feature an observed run also folds the same numbers into the budget's
+/// counter registry as `eco_cones_reused` / `eco_cones_recomputed`.
 #[must_use]
 pub fn analyze_eco(
     netlist: &Netlist,
@@ -526,10 +526,10 @@ pub fn analyze_eco(
     reuse_results: bool,
 ) -> (CircuitReport, EcoStats) {
     #[cfg(feature = "obs")]
-    let counters = Arc::clone(budget.counters());
+    let counters = budget.counters().cloned();
     let (report, eco) = analyze_impl(netlist, policy, budget, Some((store, reuse_results)));
     #[cfg(feature = "obs")]
-    {
+    if let Some(counters) = counters {
         counters.add(tbf_obs::Metric::EcoConesReused, eco.reused as u64);
         counters.add(tbf_obs::Metric::EcoConesRecomputed, eco.recomputed as u64);
     }

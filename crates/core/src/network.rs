@@ -301,9 +301,12 @@ impl ConeContext {
         let mut manager = BddManager::new();
         // Route the manager's hot-path counters into the analysis-wide
         // registry carried by the budget, so BDD effort shows up in the
-        // same place whatever thread builds this engine.
+        // same place whatever thread builds this engine. An unobserved
+        // run has no registry, and its manager counts nothing.
         #[cfg(feature = "obs")]
-        manager.set_counters(Arc::clone(self.budget.counters()));
+        if let Some(c) = self.budget.counters() {
+            manager.set_counters(Arc::clone(c));
+        }
         let mut after_var: Vec<Option<Var>> = vec![None; n_inputs];
         let mut before_var: Vec<Option<Var>> = vec![None; n_inputs];
         let mut slot_vars = vec![Vec::new(); n_inputs];
@@ -694,7 +697,9 @@ impl ConeContext {
                 let id = self.table.intern(&kfn);
                 if let Some(&f) = self.memo.get(&(n, id)) {
                     #[cfg(feature = "obs")]
-                    self.budget.counters().bump(tbf_obs::Metric::TbfCacheHits);
+                    if let Some(c) = self.budget.counters() {
+                        c.bump(tbf_obs::Metric::TbfCacheHits);
+                    }
                     return Ok(f);
                 }
                 let d = node.delay();
@@ -741,9 +746,9 @@ impl ConeContext {
                 manager.truncate_protected(protect_base);
                 let result = result.map_err(BuildAbort::from_op)?;
                 #[cfg(feature = "obs")]
-                self.budget
-                    .counters()
-                    .bump(tbf_obs::Metric::TbfInstantiations);
+                if let Some(c) = self.budget.counters() {
+                    c.bump(tbf_obs::Metric::TbfInstantiations);
+                }
                 self.memo.insert((n, id), result);
                 // Safe point: the gate's BDD call is complete, so an
                 // arena sweep may run here. Handles held by parent frames

@@ -17,6 +17,10 @@
 //!   every cone on every worker thread.
 //! * The engines install the registry on each `BddManager` they create,
 //!   so the BDD hot-path counters land in the same place.
+//! * A budget built outside `observe` carries no registry, and neither
+//!   do its forks or the managers built on them: unobserved work counts
+//!   nothing, and every counter hook costs one `None` check. (A request
+//!   fork made inside a later `observe` binds that session.)
 //! * The anytime driver captures a phase subtree per cone job on the
 //!   worker that runs it and attaches the subtrees on the coordinating
 //!   thread in netlist output order (merge-on-join), so the tree is
@@ -49,7 +53,7 @@ thread_local! {
 /// The session registry installed by an enclosing [`observe`], if any.
 /// [`AnalysisBudget::from_options`](crate::AnalysisBudget::from_options)
 /// calls this so every budget created inside an observed run reports
-/// into the run's registry.
+/// into the run's registry, and every other budget into none.
 pub(crate) fn session_counters() -> Option<Arc<Counters>> {
     SESSION.with(|s| s.borrow().clone())
 }
@@ -123,6 +127,8 @@ impl Drop for RungSpan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::ConeContext;
+    use crate::{AnalysisBudget, CancelToken, DelayOptions};
     use tbf_obs::Metric;
 
     #[test]
@@ -153,15 +159,59 @@ mod tests {
         assert_eq!(outer.counters.get(Metric::GcRuns), 0);
     }
 
+    /// The registry installed on the manager of a cone engine built on
+    /// `budget`.
+    fn cone_manager_counters(budget: AnalysisBudget) -> Option<Arc<Counters>> {
+        let netlist = Arc::new(tbf_logic::generators::figures::figure1_three_paths());
+        let cx = ConeContext::new(netlist, budget.shared()).expect("small circuit");
+        cx.manager.counters().cloned()
+    }
+
     #[test]
     fn budgets_inside_observe_share_the_registry() {
-        let opts = crate::DelayOptions::default();
+        let opts = DelayOptions::default();
         let ((), obs) = observe(|| {
-            let budget = crate::AnalysisBudget::from_options(&opts);
+            let session = session_counters().expect("observe installs a session");
+            let budget = AnalysisBudget::from_options(&opts);
             let fork = budget.fork(&opts);
-            assert!(Arc::ptr_eq(budget.counters(), fork.counters()));
+            let request = budget.fork_request(&opts, CancelToken::new());
+            for b in [&budget, &fork, &request] {
+                assert!(Arc::ptr_eq(b.counters().expect("observed"), &session));
+            }
             let _ = fork.poll();
         });
         assert_eq!(obs.counters.get(Metric::BudgetPolls), 1);
+        let (manager, obs) = observe(|| cone_manager_counters(AnalysisBudget::from_options(&opts)));
+        assert!(Arc::ptr_eq(&manager.expect("observed"), &obs.counters));
+    }
+
+    #[test]
+    fn unobserved_budgets_and_managers_carry_no_registry() {
+        let opts = DelayOptions::default();
+        let budget = AnalysisBudget::from_options(&opts);
+        assert!(budget.counters().is_none());
+        assert!(budget.fork(&opts).counters().is_none());
+        let request = budget.fork_request(&opts, CancelToken::new());
+        assert!(request.counters().is_none());
+        assert!(cone_manager_counters(budget).is_none());
+    }
+
+    #[test]
+    fn a_request_fork_binds_the_session_observing_it() {
+        // A warm session's budget is built unobserved; the requests it
+        // forks inside a later `observe` still report into that run.
+        let opts = DelayOptions::default();
+        let parent = AnalysisBudget::from_options(&opts);
+        let ((request, fork), obs) = observe(|| {
+            let request = parent.fork_request(&opts, CancelToken::new());
+            let _ = request.poll();
+            (request, parent.fork(&opts))
+        });
+        assert!(Arc::ptr_eq(
+            request.counters().expect("bound"),
+            &obs.counters
+        ));
+        assert_eq!(obs.counters.get(Metric::BudgetPolls), 1);
+        assert!(fork.counters().is_none(), "a plain fork follows its parent");
     }
 }

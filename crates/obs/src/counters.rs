@@ -21,7 +21,7 @@ pub enum Metric {
     /// Entries into the BDD `ite` / `try_ite_b` recursion (terminal
     /// cases included).
     IteCalls,
-    /// Hits in any BDD operation cache (ite, not, quantify, compose).
+    /// Hits in any BDD operation cache (ite, quantify, compose).
     CacheHits,
     /// Misses in any BDD operation cache.
     CacheMisses,

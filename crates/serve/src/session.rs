@@ -118,8 +118,9 @@ pub struct Session {
     /// The persistent ECO workspace: named incremental sessions whose
     /// exact per-cone results survive across requests.
     workspace: SessionWorkspace,
-    /// The session budget: its deadline bounds every request's, its
-    /// counters catch unobserved work.
+    /// The session budget, kept for its clock: every request budget is
+    /// forked from it and inherits its deadline, and admission meters
+    /// the session time budget against it.
     budget: AnalysisBudget,
     /// Cancelling this token starts refusing new work.
     shutdown: CancelToken,
