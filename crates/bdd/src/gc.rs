@@ -128,7 +128,7 @@ impl BddManager {
                 // when at least half the occupied nodes are garbage, so
                 // its O(arena + caches) cost is amortized against real
                 // reclamation. The sweep counts this yields are pinned by
-                // `obs_determinism` and the committed corpus baseline.
+                // `obs_determinism` and the root `corpus` test.
                 self.gc_trigger = trigger_nodes.max(self.node_count().saturating_mul(2));
                 reclaimed
             }

@@ -692,18 +692,19 @@ fn run_cone_job(
                 phases: Vec::new(),
             }
         };
-        // Capture the cone's phase subtree on this worker; the driver
-        // attaches it in output order so the tree is schedule-independent.
+        // In an observed run (its budget carries the session's counter
+        // registry), capture the cone's phase subtree on this worker; the
+        // driver attaches it in output order so the tree is
+        // schedule-independent. An unobserved run records no spans.
         #[cfg(feature = "obs")]
-        {
+        if budget.counters().is_some() {
             let (mut outcome, phases) = tbf_obs::phase::capture(|| {
                 let _cone = crate::obs::RungSpan::open(&format!("cone:{}", job.name), &budget);
                 run()
             });
             outcome.phases = phases;
-            outcome
+            return outcome;
         }
-        #[cfg(not(feature = "obs"))]
         run()
     })
 }
@@ -1228,5 +1229,20 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains("exact delay 24"), "{s}");
         assert!(s.contains("topological 40"), "{s}");
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn only_observed_cone_jobs_record_phases() {
+        let job = ConeJob::new(&paper_bypass_adder(), 0);
+        let policy = AnalysisPolicy::default();
+        let run = || {
+            let base = AnalysisBudget::from_options(&policy.options).shared();
+            run_cone_job(&job, &policy, &base, &fault::snapshot())
+        };
+        assert!(run().phases.is_empty());
+        let (observed, _) = crate::obs::observe(run);
+        let names: Vec<&str> = observed.phases.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["cone:cout"]);
     }
 }

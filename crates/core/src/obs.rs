@@ -19,8 +19,9 @@
 //!   so the BDD hot-path counters land in the same place.
 //! * A budget built outside `observe` carries no registry, and neither
 //!   do its forks or the managers built on them: unobserved work counts
-//!   nothing, and every counter hook costs one `None` check. (A request
-//!   fork made inside a later `observe` binds that session.)
+//!   nothing and opens no cone or rung span, and every counter hook
+//!   costs one `None` check. (A request fork made inside a later
+//!   `observe` binds that session.)
 //! * The anytime driver captures a phase subtree per cone job on the
 //!   worker that runs it and attaches the subtrees on the coordinating
 //!   thread in netlist output order (merge-on-join), so the tree is
@@ -97,10 +98,12 @@ pub fn observe<R>(f: impl FnOnce() -> R) -> (R, RunObservation) {
 
 /// A phase span that also books the budget polls consumed while it was
 /// open (the delta of the cone-fork's poll counter) into its phase node.
-/// Used for ladder rungs and per-output cone spans; inert (like
-/// [`Phase`](tbf_obs::Phase)) when the run is not being observed.
+/// Used for ladder rungs and per-output cone spans. Inert when the
+/// budget carries no counter registry, the same test that decides
+/// whether the anytime driver captures a cone's subtree, so a budget
+/// built outside [`observe`] records no spans on any thread.
 pub(crate) struct RungSpan<'b> {
-    _phase: tbf_obs::Phase,
+    phase: Option<tbf_obs::Phase>,
     budget: &'b crate::AnalysisBudget,
     polls_at_entry: u64,
 }
@@ -109,7 +112,10 @@ impl<'b> RungSpan<'b> {
     /// Opens the span; the name should be a stable rung or cone label.
     pub fn open(name: &str, budget: &'b crate::AnalysisBudget) -> RungSpan<'b> {
         RungSpan {
-            _phase: tbf_obs::Phase::enter(name),
+            phase: budget
+                .counters()
+                .is_some()
+                .then(|| tbf_obs::Phase::enter(name)),
             budget,
             polls_at_entry: budget.poll_count(),
         }
@@ -118,9 +124,13 @@ impl<'b> RungSpan<'b> {
 
 impl Drop for RungSpan<'_> {
     fn drop(&mut self) {
-        // Runs before `_phase` drops, so the span's frame is still the
+        // Runs before `phase` drops, so the span's frame is still the
         // innermost open one and receives the delta.
-        phase::record_budget_polls(self.budget.poll_count().saturating_sub(self.polls_at_entry));
+        if self.phase.is_some() {
+            phase::record_budget_polls(
+                self.budget.poll_count().saturating_sub(self.polls_at_entry),
+            );
+        }
     }
 }
 

@@ -8,7 +8,10 @@
 //! output order.
 
 use tbf_core::obs::{observe, RunObservation};
-use tbf_core::{analyze, analyze_eco, AnalysisBudget, AnalysisPolicy, ConeStore, DelayOptions};
+use tbf_core::{
+    analyze, analyze_eco, analyze_with_budget, AnalysisBudget, AnalysisPolicy, ConeStore,
+    DelayOptions,
+};
 use tbf_logic::generators::adders::{carry_bypass, paper_bypass_adder, ripple_carry};
 use tbf_logic::generators::figures::{figure1_three_paths, figure4_example3, figure6_glitch};
 use tbf_logic::generators::random::random_dag;
@@ -16,7 +19,7 @@ use tbf_logic::generators::trees::parity_tree;
 use tbf_logic::generators::unit_ninety_percent;
 use tbf_logic::parsers::bench::c17;
 use tbf_logic::parsers::mcnc_like_delays;
-use tbf_logic::{DelayBounds, Netlist, Time};
+use tbf_logic::{DelayBounds, GateKind, Netlist, Time};
 use tbf_obs::{phase, Metric};
 
 fn policy(threads: usize) -> AnalysisPolicy {
@@ -132,6 +135,26 @@ fn reused_cones_replay_no_phase_spans() {
 }
 
 #[test]
+fn a_budget_built_outside_observe_records_no_spans_at_any_thread_count() {
+    // Spans and cone capture follow the budget's registry, not the
+    // thread's phase stack, so the tree cannot depend on whether a cone
+    // runs on the observing thread or on a worker.
+    let netlist = c17(mcnc_like_delays);
+    for threads in [1, 2] {
+        let policy = policy(threads);
+        let budget = AnalysisBudget::from_options(&policy.options).shared();
+        let (report, obs) = observe(|| analyze_with_budget(&netlist, &policy, budget));
+        assert!(report.all_exact());
+        assert!(
+            obs.phases.is_empty(),
+            "{threads} thread(s): {:?}",
+            obs.phases
+        );
+        assert_eq!(obs.counters.get(Metric::IteCalls), 0);
+    }
+}
+
+#[test]
 fn direct_engines_record_per_output_spans() {
     let netlist = paper_bypass_adder();
     let (result, obs) = observe(|| {
@@ -239,4 +262,104 @@ fn gc_sweeps_reclaim_build_garbage_on_the_bypass_adder() {
         report.stats.peak_arena_nodes,
         obs.counters.get(Metric::NodesAllocated)
     );
+}
+
+/// Rebuilds `netlist` with the `ordinal`-th gate's max delay one unit
+/// wider: a one-gate edit that changes the slice signature of exactly
+/// the cones whose fanin reaches the gate.
+fn bump_gate_delay(netlist: &Netlist, ordinal: usize) -> Netlist {
+    let target = netlist
+        .nodes()
+        .filter(|(_, n)| n.kind() != GateKind::Input)
+        .nth(ordinal)
+        .map(|(id, _)| id)
+        .expect("gate ordinal in range");
+    let mut b = Netlist::builder();
+    let mut map = Vec::with_capacity(netlist.len());
+    for (id, node) in netlist.nodes() {
+        let new_id = if node.kind() == GateKind::Input {
+            b.input(node.name())
+        } else {
+            let fanins: Vec<_> = node.fanins().iter().map(|f| map[f.index()]).collect();
+            let mut delay = node.delay();
+            if id == target {
+                delay = DelayBounds::new(delay.min, delay.max + Time::from_int(1));
+            }
+            b.gate(node.kind(), node.name(), fanins, delay)
+                .expect("rebuild preserves unique names")
+        };
+        map.push(new_id);
+    }
+    for (name, id) in netlist.outputs() {
+        b.output(name, map[id.index()]);
+    }
+    b.finish().expect("rebuild preserves outputs")
+}
+
+/// One circuit's one-gate edit, pinned: (circuit, cones reused,
+/// cones recomputed, ITE calls of the cold run, ITE calls of the
+/// incremental run).
+type EcoPin = (&'static str, usize, usize, u64, u64);
+
+/// The edit of `a_one_gate_edit_recomputes_only_the_cones_it_reaches`
+/// on five circuits. Logical counts, the same on any host; the reuse
+/// split moves only if cone slicing or signing changes.
+#[rustfmt::skip]
+const ECO_PINNED: [EcoPin; 5] = [
+    ("c17", 1, 1, 434, 243),
+    ("ripple_carry_8", 8, 1, 5_876, 668),
+    ("ripple_carry_16", 16, 1, 17_612, 1_044),
+    ("carry_bypass_4x4", 11, 6, 236_027, 197_542),
+    ("random_dag_6x30", 9, 1, 26_619, 1_023),
+];
+
+#[test]
+fn a_one_gate_edit_recomputes_only_the_cones_it_reaches() {
+    // The edit widens the middle gate's max delay by one unit. A cold
+    // run analyzes the edited circuit on an empty store; the incremental
+    // run analyzes it on a store primed with the unedited circuit, so
+    // only the cones reaching the gate do BDD work, and it must report
+    // the same answer with strictly fewer ITE calls.
+    let d = unit_ninety_percent();
+    let suite = [
+        c17(mcnc_like_delays),
+        ripple_carry(8, d),
+        ripple_carry(16, d),
+        carry_bypass(4, 4, d),
+        random_dag(6, 30, 3, 0x5EED),
+    ];
+    let policy = policy(1);
+    let run = |netlist: &Netlist, store: &mut ConeStore| {
+        observe(|| {
+            let budget = AnalysisBudget::from_options(&policy.options).shared();
+            analyze_eco(netlist, &policy, budget, store, true)
+        })
+    };
+    for (base, pin) in suite.iter().zip(ECO_PINNED) {
+        let name = pin.0;
+        let edited = bump_gate_delay(base, base.gate_count() / 2);
+        let ((cold, cold_eco), cold_obs) = run(&edited, &mut ConeStore::new(256));
+        assert_eq!(cold_eco.reused, 0, "{name}: a cold run reused a cone");
+        let mut store = ConeStore::new(256);
+        let _ = run(base, &mut store);
+        let ((incremental, eco), incremental_obs) = run(&edited, &mut store);
+        // Debug, not `==`: report equality skips the memory and GC
+        // columns, and a reused cone must bring those back as well.
+        assert_eq!(
+            format!("{incremental:?}"),
+            format!("{cold:?}"),
+            "{name}: the incremental report differs"
+        );
+        let cold_ite = cold_obs.counters.get(Metric::IteCalls);
+        let incremental_ite = incremental_obs.counters.get(Metric::IteCalls);
+        assert!(
+            incremental_ite < cold_ite,
+            "{name}: incremental {incremental_ite} ITE calls, cold {cold_ite}"
+        );
+        assert_eq!(
+            (name, eco.reused, eco.recomputed, cold_ite, incremental_ite),
+            pin,
+            "(circuit, reused, recomputed, cold ite calls, incremental ite calls)"
+        );
+    }
 }

@@ -28,9 +28,10 @@
 //! * `deadline_ms` — per-request wall-clock budget (unsigned integer);
 //!   the effective deadline is the earlier of this and the session
 //!   deadline.
-//! * `options` — engine caps: `max_paths`, `max_bdd`, `max_cubes`,
-//!   `threads`, and `cache` (bool: per-request opt-out of the session's
-//!   warm cache). Unknown members are ignored.
+//! * `options` — engine caps: `max_paths`, `max_bdd`, `max_cubes`, and
+//!   `cache` (bool: per-request opt-out of the session's warm cache).
+//!   Unknown members are ignored, `threads` among them: the session's
+//!   `--threads` sets every request's worker count.
 //! * `session` — optional ECO session name. On an analyze request it
 //!   establishes (or re-bases) the named incremental session; see
 //!   [`crate::workspace`].
@@ -168,8 +169,6 @@ pub struct Request {
     pub cache_key: Vec<u8>,
     /// Engine caps and per-request deadline.
     pub options: DelayOptions,
-    /// Per-request worker-thread override (`None` = session default).
-    pub threads: Option<usize>,
     /// Whether this request may be answered from / stored into the
     /// session's warm cache.
     pub use_cache: bool,
@@ -426,7 +425,6 @@ pub fn parse_request(
         options.time_budget = Some(std::time::Duration::from_millis(ms));
         has_deadline = true;
     }
-    let mut threads = None;
     let mut use_cache = true;
     if let Some(opts) = doc.get("options") {
         if opts.as_object().is_none() {
@@ -456,9 +454,6 @@ pub fn parse_request(
         if let Some(n) = cap("max_cubes")? {
             options.max_cubes = n;
         }
-        if let Some(n) = cap("threads")? {
-            threads = Some(n);
-        }
         if let Some(v) = opts.get("cache") {
             match v {
                 Value::Bool(b) => use_cache = *b,
@@ -481,7 +476,6 @@ pub fn parse_request(
         netlist,
         cache_key,
         options,
-        threads,
         use_cache,
         has_deadline,
         session,
@@ -717,7 +711,6 @@ mod tests {
         assert_eq!(r.id, "r1");
         assert_eq!(r.netlist.gate_count(), 1);
         assert!(r.use_cache);
-        assert!(r.threads.is_none());
     }
 
     #[test]
@@ -732,8 +725,21 @@ mod tests {
             r.options.time_budget,
             Some(std::time::Duration::from_millis(50))
         );
-        assert_eq!(r.threads, Some(4));
         assert!(!r.use_cache);
+    }
+
+    #[test]
+    fn a_thread_count_in_options_is_ignored() {
+        // The session's `--threads` decides; a request cannot start
+        // threads, so its `threads` member is ignored whatever its type.
+        for threads in ["2", r#""all""#, "-1"] {
+            let line = format!(
+                r#"{{"id":"r","circuit":"{}","options":{{"threads":{threads},"max_paths":7}}}}"#,
+                TINY.replace('\n', "\\n")
+            );
+            let r = parse(&line).unwrap_or_else(|e| panic!("threads {threads}: {e:?}"));
+            assert_eq!(r.options.max_straddling_paths, 7);
+        }
     }
 
     #[test]

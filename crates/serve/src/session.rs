@@ -28,6 +28,7 @@
 //! `effort` member, which consumers strip (see
 //! [`crate::protocol::deterministic_view`]).
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -46,8 +47,7 @@ use crate::workspace::{SessionWorkspace, WorkspaceStats};
 /// Session-level knobs, all settable from the `tbf serve` CLI.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads per analysis (the `AnalysisPolicy::threads`
-    /// default; requests may override).
+    /// Worker threads per analysis (`AnalysisPolicy::threads`).
     pub threads: usize,
     /// Admission cap on circuit size, in gates (0 = unlimited).
     pub max_gates: usize,
@@ -129,9 +129,14 @@ pub struct Session {
     metrics: SessionMetrics,
     /// Admitted analyses, for the `max_requests` budget.
     admitted: u64,
-    /// Per-request artifact rows.
-    rows: Vec<Value>,
+    /// Artifact rows of the most recent [`MAX_ARTIFACT_ROWS`] frames.
+    rows: VecDeque<Value>,
 }
+
+/// Frames whose artifact rows the session keeps; older rows are
+/// dropped so a long-lived process does not grow with every frame
+/// (`SessionMetrics::frames` still counts them all).
+const MAX_ARTIFACT_ROWS: usize = 1024;
 
 /// How one analysis attempt ended, before retry classification.
 enum AttemptOutcome {
@@ -159,7 +164,7 @@ impl Session {
             live_token: Arc::new(Mutex::new(None)),
             metrics: SessionMetrics::default(),
             admitted: 0,
-            rows: Vec::new(),
+            rows: VecDeque::new(),
             config,
         }
     }
@@ -320,7 +325,7 @@ impl Session {
     fn analyze_request(&mut self, request: &Request) -> RequestOutcome {
         let policy = AnalysisPolicy {
             options: request.options.clone(),
-            threads: request.threads.unwrap_or(self.config.threads),
+            threads: self.config.threads,
         };
         // The explicit cone-granular diff against the session base, for
         // the effort telemetry. Computed before the base is
@@ -472,7 +477,10 @@ impl Session {
         if let Some(c) = counters {
             row.push(("counters".to_owned(), c));
         }
-        self.rows.push(Value::Obj(row));
+        if self.rows.len() == MAX_ARTIFACT_ROWS {
+            self.rows.pop_front();
+        }
+        self.rows.push_back(Value::Obj(row));
     }
 
     /// Renders the final session-metrics artifact (emitted on shutdown).
@@ -562,7 +570,7 @@ impl Session {
                 ),
             ]),
         );
-        artifact.section("requests", Value::Arr(self.rows.clone()));
+        artifact.section("requests", Value::Arr(self.rows.iter().cloned().collect()));
         artifact
     }
 }
@@ -675,8 +683,8 @@ mod tests {
     #[test]
     fn no_option_member_partitions_the_warm_cache() {
         // No engine option changes an exact result, so none is part of
-        // the warm-cache key: caps and thread counts only decide whether
-        // exactness is reached, and the retired engine knobs are unknown
+        // the warm-cache key: caps only decide whether exactness is
+        // reached, and `threads` and the retired engine knobs are unknown
         // members that select nothing. Every variant below must hit the
         // entry the `{}` run wrote.
         let mut s = Session::new(ServeConfig::default());
@@ -818,6 +826,33 @@ mod tests {
                 .map(<[Value]>::len),
             Some(2)
         );
+    }
+
+    #[test]
+    fn the_artifact_keeps_the_most_recent_rows() {
+        // Frames that fail in the parser run no analysis, so this stays
+        // fast; each still records an artifact row.
+        let mut s = Session::new(ServeConfig::default());
+        let frames = MAX_ARTIFACT_ROWS + 5;
+        for i in 0..frames {
+            let line = format!(r#"{{"id":"r{i}","circuit":"INPUT(a)\nOUTPUT(f)\nf = FROB(a)\n"}}"#);
+            assert!(s.handle_line(&line).contains("bad_request"));
+        }
+        let doc = Value::parse(&s.final_artifact().render()).expect("parses");
+        assert_eq!(
+            doc.get("session").and_then(|v| v.get("frames")),
+            Some(&Value::u64(frames as u64))
+        );
+        let rows = doc
+            .get("requests")
+            .and_then(Value::as_array)
+            .expect("requests section");
+        let ids: Vec<&str> = rows
+            .iter()
+            .map(|row| row.get("id").and_then(Value::as_str).expect("row id"))
+            .collect();
+        let expected: Vec<String> = (5..frames).map(|i| format!("r{i}")).collect();
+        assert_eq!(ids, expected);
     }
 
     const BASE2: &str = "INPUT(a)\\nINPUT(b)\\nINPUT(c)\\nOUTPUT(f1)\\nOUTPUT(f2)\\n\
