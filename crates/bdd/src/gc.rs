@@ -14,12 +14,14 @@
 //!   complement-edge aware for free.
 //! * **Sweep.** Dead slots get the [`FREE_LEVEL`] sentinel payload and
 //!   go onto a free list that [`mk`](crate::BddManager::mk) pops before
-//!   growing the arena; live slots are reinserted into their variable's
-//!   unique subtable, which is first sized once for its survivors (the
-//!   capacity insertion would reach). The operation caches drop
-//!   every entry touching a dead node (a freed slot may be reused by a
-//!   different function) and keep the all-survivor rest — coherent
-//!   because canonicity lives in the unique table, not the memo tables.
+//!   growing the arena. Only the unique subtables of variables that lost
+//!   a node are rebuilt: each is sized once for its survivors (the
+//!   capacity insertion would reach) and refilled with them; every other
+//!   subtable already holds exactly its survivors and is left as it is.
+//!   The computed table drops every entry touching a dead node (a freed
+//!   slot may be reused by a different function) and keeps the
+//!   all-survivor rest — coherent because canonicity lives in the unique
+//!   table, not the memo.
 //! * **Determinism.** Whether a sweep fires depends only on the policy
 //!   and the arena population — logical quantities identical at every
 //!   thread count — and slot reuse order is fixed (ascending), so GC
@@ -126,7 +128,7 @@ impl BddManager {
                 let reclaimed = self.collect_garbage(roots);
                 // Re-arm at twice the survivors: a sweep then only fires
                 // when at least half the occupied nodes are garbage, so
-                // its O(arena + caches) cost is amortized against real
+                // its O(arena + table) cost is amortized against real
                 // reclamation. The sweep counts this yields are pinned by
                 // `obs_determinism` and the root `corpus` test.
                 self.gc_trigger = trigger_nodes.max(self.node_count().saturating_mul(2));
@@ -139,9 +141,10 @@ impl BddManager {
     /// `roots` ∪ the protected stack, returning how many were reclaimed.
     ///
     /// Freed slots are reused by later `mk` calls (lowest index first);
-    /// the unique subtables are rebuilt to exactly the survivors and the
-    /// operation caches are purged of entries touching dead nodes
-    /// (all-survivor entries keep their memoized work).
+    /// the unique subtables of variables that lost a node are rebuilt to
+    /// exactly their survivors, and the computed table is purged of
+    /// entries touching dead nodes (all-survivor entries keep their
+    /// memoized work).
     /// Handles to surviving nodes — including complemented ones — remain
     /// valid and canonical; handles to freed nodes must not be used
     /// again.
@@ -171,18 +174,21 @@ impl BddManager {
             }
         }
         // Sweep: collect the dead onto the free list (ascending pop
-        // order) and count each variable's survivors.
+        // order), count each variable's survivors and note the variables
+        // that lost a node.
         self.free.clear();
         let mut survivors = vec![0usize; self.var_count()];
+        let mut touched = vec![false; self.var_count()];
         let mut reclaimed = 0usize;
         for (i, &live) in mark.iter().enumerate().skip(1) {
+            let var = self.nodes[i].var;
             if live {
-                let var = self.nodes[i].var;
                 debug_assert_ne!(var, TERMINAL_LEVEL);
                 survivors[var as usize] += 1;
             } else {
-                if self.nodes[i].var != FREE_LEVEL {
+                if var != FREE_LEVEL {
                     reclaimed += 1;
+                    touched[var as usize] = true;
                 }
                 self.nodes[i] = Node {
                     var: FREE_LEVEL,
@@ -194,28 +200,30 @@ impl BddManager {
         }
         // Pop order is LIFO: reverse so reuse fills low slots first.
         self.free.reverse();
-        // Rebuild the subtables from the survivors (ascending arena
-        // order — deterministic), each sized once up front to the
-        // capacity one-by-one insertion would grow it to.
-        self.unique.reset(&survivors);
-        for (i, &live) in mark.iter().enumerate().skip(1) {
-            if live {
-                self.unique.insert(self.nodes[i].var, i as u32, &self.nodes);
+        // Rebuild the subtables that lost a node from their survivors
+        // (ascending arena order — deterministic), each sized once up
+        // front to the capacity one-by-one insertion would grow it to.
+        // A subtable that lost nothing holds exactly its survivors
+        // already: entries only ever leave at a sweep.
+        for (var, &t) in touched.iter().enumerate() {
+            if t {
+                self.unique.reset(var as u32, survivors[var]);
             }
         }
-        // Op caches: entries whose operands and result all survived stay
-        // correct (handles are stable and functions unchanged), and
+        for (i, &live) in mark.iter().enumerate().skip(1) {
+            let var = self.nodes[i].var;
+            if live && touched[var as usize] {
+                self.unique.insert(var, i as u32, &self.nodes);
+            }
+        }
+        // Computed table: entries whose operands and result all survived
+        // stay correct (handles are stable and functions unchanged), and
         // keeping them preserves memoized work across the sweep. Any
         // entry touching a freed slot must go — the slot can be reused
         // by a *different* function, turning a stale hit into a wrong
         // answer. Which entries survive is a deterministic set, so
         // results stay canonical either way.
-        let live = |b: Bdd| mark[b.index()];
-        self.ite_cache
-            .retain(|&(f, g, h), r| live(f) && live(g) && live(h) && live(*r));
-        self.quant_cache.retain(|&(f, _, _), r| live(f) && live(*r));
-        self.compose_cache
-            .retain(|&(f, _, g), r| live(f) && live(g) && live(*r));
+        self.computed.retain(|b| mark[b.index()]);
         self.gc_stats.sweeps += 1;
         self.gc_stats.reclaimed += reclaimed as u64;
         self.obs_gc_sweep(reclaimed as u64);
@@ -226,6 +234,7 @@ impl BddManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::computed::Key;
 
     #[test]
     fn sweep_reclaims_unreachable_nodes_and_preserves_roots() {
@@ -386,5 +395,74 @@ mod tests {
         assert!(!m.eval(nf, &[true, false]));
         let (vx, vy) = (m.var(x), m.var(y));
         assert_eq!(m.xor(vx, vy), f);
+    }
+
+    #[test]
+    fn a_sweep_purges_table_entries_on_freed_slots() {
+        let mut m = BddManager::new();
+        let x = m.new_var();
+        let y = m.new_var();
+        let z = m.new_var();
+        let (vx, vy, vz) = (m.var(x), m.var(y), m.var(z));
+        let roots = [vx, vy, vz];
+        // Memoize ite(x·y, y+z, x⊕z); its operands and result own every
+        // slot above the literals.
+        let f = m.and(vx, vy);
+        let g = m.or(vy, vz);
+        let h = m.xor(vx, vz);
+        let key = Key::ite(f, g, h);
+        let r = m.ite(f, g, h);
+        assert_eq!(m.computed.get(key), Some(r));
+        m.collect_garbage(&roots);
+        assert_eq!(m.computed.get(key), None, "the entry touches freed slots");
+        // `mk` refills those slots, lowest first, with different
+        // functions under the very same handles.
+        let f2 = m.and(vx, vz);
+        let g2 = m.or(vx, vz);
+        let h2 = m.nand(vy, vz);
+        assert_eq!((f2, g2, h2), (f, g, h), "the slots were not reused");
+        // The repeated ITE computes the new functions' answer.
+        let r2 = m.ite(f2, g2, h2);
+        for i in 0..8u8 {
+            let a = [(i & 1) != 0, (i & 2) != 0, (i & 4) != 0];
+            let want = if a[0] && a[2] {
+                a[0] || a[2]
+            } else {
+                !(a[1] && a[2])
+            };
+            assert_eq!(m.eval(r2, &a), want, "assignment {a:?}");
+        }
+    }
+
+    #[test]
+    fn a_sweep_leaves_subtables_that_lost_no_node() {
+        let mut m = BddManager::new();
+        let w = m.new_var();
+        let xs: Vec<_> = (0..4).map(|_| m.new_var()).collect();
+        let vw = m.var(w);
+        let lits: Vec<Bdd> = xs.iter().map(|&x| m.var(x)).collect();
+        let mut roots = lits.clone();
+        roots.push(vw);
+        // Garbage below `w`, then w-nodes above it in the arena.
+        for (i, j) in [(0, 1), (1, 2), (2, 3), (0, 3)] {
+            m.and(lits[i], lits[j]);
+        }
+        for (i, j) in [(0, 1), (1, 2), (2, 3)] {
+            let a = m.ite(vw, lits[i], lits[j]);
+            roots.push(a);
+        }
+        m.collect_garbage(&roots);
+        // These w-nodes fill the freed low slots: `w`'s subtable now
+        // holds entries in an order a rebuild in arena order would not.
+        for (i, j) in [(3, 0), (0, 2), (1, 3)] {
+            let b = m.ite(vw, lits[i], lits[j]);
+            roots.push(b);
+        }
+        m.and(lits[0], lits[3]);
+        let (capacity, slots) = (m.unique.capacity(w.0), m.unique.slots(w.0).to_vec());
+        assert_eq!(capacity, 8, "7 w-nodes");
+        assert_eq!(m.collect_garbage(&roots), 1, "only the last garbage node");
+        assert_eq!(m.unique.capacity(w.0), capacity);
+        assert_eq!(m.unique.slots(w.0), slots, "w lost no node");
     }
 }

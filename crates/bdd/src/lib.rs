@@ -9,7 +9,8 @@
 //!
 //! The package provides:
 //!
-//! * a [`BddManager`] with a unique table (canonicity) and operation caches,
+//! * a [`BddManager`] with a unique table (canonicity) and one computed
+//!   table memoizing every operation,
 //! * the usual Boolean operations ([`BddManager::and`], [`BddManager::or`],
 //!   [`BddManager::xor`], [`BddManager::not`], [`BddManager::ite`], ...),
 //! * cofactor/restriction, functional [composition](BddManager::compose),
@@ -47,9 +48,9 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod computed;
 mod cube;
 mod gc;
-mod hash;
 mod limit;
 mod manager;
 mod node;

@@ -13,12 +13,13 @@
 //! expensive check (e.g. reading the clock) belongs inside the callback;
 //! the manager calls it unconditionally.
 //!
-//! After an abort the manager stays fully consistent (unique table and
-//! caches only ever hold canonical entries), so the caller can clear
-//! caches, compact, or give up with typed bounds.
+//! After an abort the manager stays fully consistent (the unique and
+//! computed tables only ever hold canonical entries), so the caller can
+//! compact, retry under a larger cap, or give up with typed bounds.
 
 use std::fmt;
 
+use crate::computed::Key;
 use crate::manager::BddManager;
 use crate::node::{Bdd, Var};
 
@@ -139,7 +140,7 @@ impl BddManager {
 
     /// If-then-else under a full [`OpBudget`]. The arguments are first
     /// rewritten into a canonical form — `f` regular and `g` regular — so
-    /// a cache entry serves the whole 4-element orbit `{ite(f,g,h),
+    /// a computed-table entry serves the whole 4-element orbit `{ite(f,g,h),
     /// ite(¬f,h,g), ¬ite(f,¬g,¬h), ¬ite(¬f,¬h,¬g)}`.
     ///
     /// # Errors
@@ -192,8 +193,8 @@ impl BddManager {
             g = g.negate();
             h = h.negate();
         }
-        let key = (f, g, h);
-        if let Some(&r) = self.ite_cache.get(&key) {
+        let key = Key::ite(f, g, h);
+        if let Some(r) = self.computed.get(key) {
             self.obs_cache_hit();
             return Ok(if neg_result { r.negate() } else { r });
         }
@@ -220,7 +221,7 @@ impl BddManager {
         let lo = self.try_ite_b(f0, g0, h0, budget)?;
         let hi = self.try_ite_b(f1, g1, h1, budget)?;
         let r = self.mk_budgeted(top, lo, hi, budget)?;
-        self.ite_cache.insert(key, r);
+        self.computed.insert(key, r);
         Ok(if neg_result { r.negate() } else { r })
     }
 
@@ -261,7 +262,7 @@ impl BddManager {
     }
 
     /// Budgeted quantification of either polarity. Complemented handles
-    /// recurse through `Qv.¬f = ¬Q̄v.f` so the cache only holds regular
+    /// recurse through `Qv.¬f = ¬Q̄v.f` so the table only holds regular
     /// keys.
     pub(crate) fn try_quantify_b(
         &mut self,
@@ -281,8 +282,8 @@ impl BddManager {
         if n.var > v.0 {
             return Ok(f);
         }
-        let key = (f, v.0, existential);
-        if let Some(&r) = self.quant_cache.get(&key) {
+        let key = Key::quantify(f, v, existential);
+        if let Some(r) = self.computed.get(key) {
             self.obs_cache_hit();
             return Ok(r);
         }
@@ -298,14 +299,12 @@ impl BddManager {
             let hi = self.try_quantify_b(n.hi, v, existential, budget)?;
             self.mk_budgeted(n.var, lo, hi, budget)?
         };
-        self.quant_cache.insert(key, r);
+        self.computed.insert(key, r);
         Ok(r)
     }
 
     /// Existentially quantifies every variable in `vs` under a full
-    /// [`OpBudget`], clearing the operation caches whenever they outgrow
-    /// the node table (they can dominate memory on long quantification
-    /// chains).
+    /// [`OpBudget`].
     ///
     /// # Errors
     ///
@@ -319,11 +318,6 @@ impl BddManager {
         let mut acc = f;
         for &v in vs {
             acc = self.try_exists_b(acc, v, budget)?;
-            // Cache entries cost more than nodes; clear well before the
-            // caches could rival the node-table budget.
-            if self.op_cache_len() > (budget.max_nodes / 4).max(1_000_000) {
-                self.clear_op_caches();
-            }
         }
         Ok(acc)
     }

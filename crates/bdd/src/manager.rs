@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use crate::hash::OpCache;
+use crate::computed::ComputedTable;
 use crate::node::{Bdd, Node, Var, TERMINAL_LEVEL};
 use crate::unique::UniqueTables;
 
@@ -13,6 +13,10 @@ use crate::unique::UniqueTables;
 /// functions share one handle (canonicity), and memoizes the results of
 /// Boolean operations. All operations that combine BDDs are methods on the
 /// manager and take handles by value.
+///
+/// Results are memoized in one computed table shared by every operation
+/// (see `computed.rs`): direct-mapped and lossy, sized with the arena and
+/// capped, and kept across queries.
 ///
 /// Edges carry complement tags: any edge may be complemented, negation
 /// is a constant-time tag flip, and a function shares every node with
@@ -67,9 +71,7 @@ pub struct BddManager {
     /// once). Unlike [`node_count`](Self::node_count) this includes dead
     /// slots, so it measures what GC saves.
     pub(crate) peak_arena: usize,
-    pub(crate) ite_cache: OpCache<(Bdd, Bdd, Bdd)>,
-    pub(crate) quant_cache: OpCache<(Bdd, u32, bool)>,
-    pub(crate) compose_cache: OpCache<(Bdd, u32, Bdd)>,
+    pub(crate) computed: ComputedTable,
     var_names: Vec<String>,
     /// Shared effort-counter registry (see [`crate::obs`]); `None` until
     /// [`set_counters`](Self::set_counters) installs one.
@@ -96,9 +98,7 @@ impl BddManager {
             gc_trigger: usize::MAX,
             gc_stats: crate::gc::GcStats::default(),
             peak_arena: 1,
-            ite_cache: OpCache::default(),
-            quant_cache: OpCache::default(),
-            compose_cache: OpCache::default(),
+            computed: ComputedTable::new(),
             var_names: Vec::new(),
             #[cfg(feature = "obs")]
             counters: None,
@@ -226,6 +226,7 @@ impl BddManager {
                 let s = self.nodes.len();
                 self.nodes.push(node);
                 self.peak_arena = self.peak_arena.max(self.nodes.len());
+                self.computed.fit(self.nodes.len());
                 s
             }
         };
@@ -424,18 +425,13 @@ impl BddManager {
         self.live_size(&[b])
     }
 
-    /// Total entries across the operation caches (memory pressure gauge).
-    pub fn op_cache_len(&self) -> usize {
-        self.ite_cache.len() + self.quant_cache.len() + self.compose_cache.len()
-    }
-
-    /// Clears all operation caches (unique table is kept, canonicity is
-    /// unaffected). Useful to bound memory between delay-search intervals.
+    /// Empties the computed table. The unique table, and with it
+    /// canonicity, is kept: later operations return the same handles and
+    /// only recompute what they need. The table is bounded on its own,
+    /// so nothing needs this to cap memory.
     pub fn clear_op_caches(&mut self) {
         self.obs_gc_run();
-        self.ite_cache.clear();
-        self.quant_cache.clear();
-        self.compose_cache.clear();
+        self.computed.clear();
     }
 }
 

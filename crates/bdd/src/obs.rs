@@ -41,14 +41,14 @@ impl BddManager {
         self.obs_bump(tbf_obs::Metric::IteCalls);
     }
 
-    /// One hit in any operation cache (ite, quantify, compose).
+    /// One computed-table hit (ite, quantify or compose).
     #[inline(always)]
     pub(crate) fn obs_cache_hit(&self) {
         #[cfg(feature = "obs")]
         self.obs_bump(tbf_obs::Metric::CacheHits);
     }
 
-    /// One miss in any operation cache.
+    /// One computed-table miss.
     #[inline(always)]
     pub(crate) fn obs_cache_miss(&self) {
         #[cfg(feature = "obs")]
@@ -83,7 +83,7 @@ impl BddManager {
         self.obs_bump(tbf_obs::Metric::NodesAllocated);
     }
 
-    /// One operation-cache flush (the package's GC analogue).
+    /// One computed-table flush ([`BddManager::clear_op_caches`]).
     #[inline(always)]
     pub(crate) fn obs_gc_run(&self) {
         #[cfg(feature = "obs")]

@@ -3,6 +3,7 @@
 //! budgeted recursions of `limit.rs` under an unlimited budget, so each
 //! operation has one implementation.
 
+use crate::computed::Key;
 use crate::limit::{OpAbort, OpBudget};
 use crate::manager::BddManager;
 use crate::node::{Bdd, Var};
@@ -119,7 +120,7 @@ impl BddManager {
             return f;
         }
         if f.is_complemented() {
-            // ¬f[v := g] = ¬(f[v := g]): keep cache keys regular.
+            // ¬f[v := g] = ¬(f[v := g]): keep table keys regular.
             let r = self.compose(f.negate(), v, g);
             return r.negate();
         }
@@ -127,8 +128,8 @@ impl BddManager {
         if n.var > v.0 {
             return f;
         }
-        let key = (f, v.0, g);
-        if let Some(&r) = self.compose_cache.get(&key) {
+        let key = Key::compose(f, v, g);
+        if let Some(r) = self.computed.get(key) {
             self.obs_cache_hit();
             return r;
         }
@@ -143,7 +144,7 @@ impl BddManager {
             let root = self.var(Var(n.var));
             self.ite(root, hi, lo)
         };
-        self.compose_cache.insert(key, r);
+        self.computed.insert(key, r);
         r
     }
 }

@@ -9,8 +9,9 @@
 //!   linear probing walks consecutive `u32` slots (one cache line holds
 //!   16 of them);
 //! * capacity tracks the *live* population of each variable: entries are
-//!   never removed one by one, and a GC sweep empties every subtable,
-//!   sizes it once for its survivors and reinserts them.
+//!   never removed one by one, and a GC sweep empties each subtable of a
+//!   variable that lost a node, sizes it once for its survivors and
+//!   reinserts them.
 //!
 //! The subtable stores slot indices only; node payloads `(lo, hi)` live
 //! in the arena and every operation takes `&[Node]` to compare keys.
@@ -176,20 +177,23 @@ impl UniqueTables {
         self.tables[var as usize].insert(slot, nodes);
     }
 
-    /// Drops every entry and sizes each variable's subtable for its
-    /// `survivors[var]` entries (GC sweep prelude: reinserting the
-    /// survivors then never resizes).
-    pub(crate) fn reset(&mut self, survivors: &[usize]) {
-        debug_assert_eq!(survivors.len(), self.tables.len());
-        for (t, &n) in self.tables.iter_mut().zip(survivors) {
-            t.reset(n);
-        }
+    /// Drops every entry of `var`'s subtable and sizes it for `n`
+    /// entries (GC sweep prelude: reinserting the survivors then never
+    /// resizes).
+    pub(crate) fn reset(&mut self, var: u32, n: usize) {
+        self.tables[var as usize].reset(n);
     }
 
     /// Slot-array capacity of `var`'s subtable.
     #[cfg(test)]
     pub(crate) fn capacity(&self, var: u32) -> usize {
         self.tables[var as usize].capacity()
+    }
+
+    /// `var`'s slot array, vacant slots included.
+    #[cfg(test)]
+    pub(crate) fn slots(&self, var: u32) -> &[u32] {
+        &self.tables[var as usize].slots
     }
 
     /// Total slot-array bytes across all subtables (memory telemetry).

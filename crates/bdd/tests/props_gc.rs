@@ -218,7 +218,7 @@ fn run_sweep_case(seed: u64, n_vars: usize, n_gates: usize) -> Result<(), String
     }
 
     // Never-frees-reachable, degenerate direction: rooting *everything*
-    // must preserve every pool function (only op-cache intermediates and
+    // must preserve every pool function (only memoized intermediates and
     // constructed-then-superseded nodes may go).
     let mut m2 = BddManager::new();
     let mut rng2 = XorShift::new(seed);

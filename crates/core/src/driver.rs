@@ -727,8 +727,10 @@ fn cone_rungs(
     let mut panicked = false;
     let mut have_error_bound = false;
 
-    // Rungs 1–2: exact search, retried with escalated caps.
+    // Rungs 1–2: exact search, retried with escalated caps from the
+    // breakpoint that capped.
     let mut attempts = 0usize;
+    let mut resume = None;
     #[cfg(feature = "obs")]
     let mut rung_name = "two_vector_exact";
     loop {
@@ -747,7 +749,13 @@ fn cone_rungs(
             if fault::trip(Site::ConeStart) {
                 panic!("injected engine panic (fault site ConeStart)");
             }
-            crate::model::cone_delay(&mut crate::two_vector::TwoVector, eng, out_id, stats)
+            crate::model::cone_delay(
+                &mut crate::two_vector::TwoVector,
+                eng,
+                out_id,
+                resume,
+                stats,
+            )
         });
         match attempt {
             Attempt::Done((delay, w)) => {
@@ -786,6 +794,10 @@ fn cone_rungs(
                         rung_name = "escalated_retry";
                     }
                     budget.escalate(ESCALATION_FACTOR);
+                    // Every interval above the capped breakpoint tested
+                    // transition-free, an answer no cap changes: the
+                    // retry resumes there instead of re-testing them.
+                    resume = e.at_breakpoint();
                     // Reset drops dead nodes and rebuilds statics under
                     // the new caps; a failed reset forces a fresh engine.
                     if let Some(eng) = engine.as_mut() {
@@ -808,7 +820,7 @@ fn cone_rungs(
         #[cfg(feature = "obs")]
         let _rung = crate::obs::RungSpan::open("sequences_bound", budget);
         let attempt: Attempt<Time> = run_rung(engine, |eng| {
-            crate::model::cone_delay(&mut crate::sequences::Sequences, eng, out_id, stats)
+            crate::model::cone_delay(&mut crate::sequences::Sequences, eng, out_id, None, stats)
                 .map(|(t, _)| t)
         });
         match attempt {
@@ -928,6 +940,98 @@ mod tests {
         assert!(r.stats.retries >= 1, "escalation should have happened");
         assert!(r.all_exact(), "escalated caps fit: {r}");
         assert_eq!(r.exact, Some(t(4)));
+    }
+
+    /// `f = OR(g, h)`: `g` XORs ten buffers of `x` (ten straddling paths
+    /// of length [3, 5] at breakpoint 5) and `h` XORs two fixed 10-unit
+    /// buffers of `z`, which denote the same TBF variable and cancel, so
+    /// the top breakpoint 12 tests transition-free with no straddling
+    /// path.
+    fn caps_below_the_top_breakpoint() -> Netlist {
+        let mut b = Netlist::builder();
+        let x = b.input("x");
+        let z = b.input("z");
+        let bufs = (0..10)
+            .map(|i| {
+                b.gate(
+                    GateKind::Buf,
+                    &format!("b{i}"),
+                    vec![x],
+                    DelayBounds::new(t(1), t(3)),
+                )
+                .unwrap()
+            })
+            .collect();
+        let g = b
+            .gate(GateKind::Xor, "g", bufs, DelayBounds::fixed(t(1)))
+            .unwrap();
+        let late = (0..2)
+            .map(|i| {
+                b.gate(
+                    GateKind::Buf,
+                    &format!("c{i}"),
+                    vec![z],
+                    DelayBounds::fixed(t(10)),
+                )
+                .unwrap()
+            })
+            .collect();
+        let h = b
+            .gate(GateKind::Xor, "h", late, DelayBounds::fixed(t(1)))
+            .unwrap();
+        let f = b
+            .gate(GateKind::Or, "f", vec![g, h], DelayBounds::fixed(t(1)))
+            .unwrap();
+        b.output("f", f);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn the_escalated_retry_resumes_at_the_capped_breakpoint() {
+        let n = caps_below_the_top_breakpoint();
+        let out = n.find("f").unwrap();
+        let capped = DelayOptions {
+            max_straddling_paths: 3,
+            ..DelayOptions::default()
+        };
+        let sweep = |options: &DelayOptions, resume, stats: &mut SearchStats| {
+            let budget = AnalysisBudget::from_options(options).shared();
+            let mut cx = ConeContext::new(Arc::new(n.clone()), budget).unwrap();
+            crate::model::cone_delay(
+                &mut crate::two_vector::TwoVector,
+                &mut cx,
+                out,
+                resume,
+                stats,
+            )
+        };
+        // The first attempt clears 12 and caps at 5 (ten paths, cap 3).
+        let mut first = SearchStats::default();
+        let capped_at = sweep(&capped, None, &mut first)
+            .unwrap_err()
+            .at_breakpoint();
+        assert_eq!(capped_at, Some(t(5)));
+        assert_eq!(first.breakpoints_visited, 2);
+        // Under caps that fit, the sweep from 5 down resolves the cone.
+        let mut rest = SearchStats::default();
+        let escalated = DelayOptions {
+            max_straddling_paths: 12,
+            ..DelayOptions::default()
+        };
+        sweep(&escalated, capped_at, &mut rest).unwrap();
+
+        let r = analyze(&n, &AnalysisPolicy::with_options(capped));
+        assert_eq!(r.stats.retries, 1);
+        assert!(r.all_exact(), "{r}");
+        let uncapped = crate::two_vector_delay(&n, &DelayOptions::default()).unwrap();
+        assert_eq!(r.exact, Some(uncapped.delay));
+        assert_eq!(r.exact, Some(t(5)));
+        assert_eq!(r.witness, uncapped.witness);
+        assert_eq!(
+            r.stats.breakpoints_visited,
+            first.breakpoints_visited + rest.breakpoints_visited,
+            "the retry re-tested breakpoints above the cap"
+        );
     }
 
     /// Two cones: "hard" is the 10-buffer XOR above (10 straddling

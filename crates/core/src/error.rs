@@ -92,6 +92,20 @@ impl DelayError {
         self
     }
 
+    /// The breakpoint being examined when the analysis stopped, unless
+    /// the failure was a netlist error.
+    pub(crate) fn at_breakpoint(&self) -> Option<Time> {
+        match self {
+            DelayError::TooManyPaths { at_breakpoint, .. }
+            | DelayError::BddTooLarge { at_breakpoint, .. }
+            | DelayError::TooManyCubes { at_breakpoint, .. }
+            | DelayError::TimedOut { at_breakpoint, .. }
+            | DelayError::Cancelled { at_breakpoint, .. }
+            | DelayError::Internal { at_breakpoint, .. } => Some(*at_breakpoint),
+            DelayError::Netlist(_) => None,
+        }
+    }
+
     /// The sound `(lower, upper)` delay bounds established before the
     /// failure, when the failure was a resource cap.
     pub fn bounds(&self) -> Option<(Time, Time)> {

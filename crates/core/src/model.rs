@@ -85,13 +85,19 @@ pub(crate) trait DelayModel {
 /// cone, one model, the context's budget. Exposed to the
 /// [`analyze`](crate::analyze) driver so the degradation ladder can
 /// retry and degrade per cone with any model on any rung.
+///
+/// The sweep starts at the top breakpoint, or at `resume` — a
+/// breakpoint of this output where an earlier sweep of the same model
+/// stopped. Every interval above `resume` then already tested
+/// transition-free, and that answer holds under any cap.
 pub(crate) fn cone_delay(
     model: &mut dyn DelayModel,
     cx: &mut ConeContext,
     output: NodeId,
+    resume: Option<Time>,
     stats: &mut SearchStats,
 ) -> Result<(Time, Option<WitnessParts>), DelayError> {
-    let mut b_opt = model.breakpoints(cx, output, Time::MAX);
+    let mut b_opt = resume.or_else(|| model.breakpoints(cx, output, Time::MAX));
     while let Some(b) = b_opt {
         stats.breakpoints_visited += 1;
         if cx.budget.check_now().is_some() || fault::trip(Site::Breakpoint) {
@@ -133,8 +139,11 @@ pub(crate) fn delay_with_model(
     let mut first_error: Option<DelayError> = None;
     for (name, out_id) in netlist.outputs() {
         #[cfg(feature = "obs")]
-        let _cone = crate::obs::RungSpan::open(&format!("cone:{name}"), &budget);
-        match cone_delay(model, &mut cx, *out_id, &mut stats) {
+        let _cone = budget
+            .counters()
+            .is_some()
+            .then(|| crate::obs::RungSpan::open(&format!("cone:{name}"), &budget));
+        match cone_delay(model, &mut cx, *out_id, None, &mut stats) {
             Ok((delay, w)) => {
                 if delay > witness_delay {
                     if let Some((before, after, delays)) = w {

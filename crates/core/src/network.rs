@@ -397,8 +397,6 @@ impl ConeContext {
         }
         if self.manager.node_count() > self.statics_baseline + HEADROOM {
             self.layout()?;
-        } else {
-            self.manager.clear_op_caches();
         }
         Ok(())
     }
@@ -660,11 +658,6 @@ impl ConeContext {
                     return Err(BuildAbort::BddTooLarge {
                         limit: self.max_bdd,
                     });
-                }
-                if manager.op_cache_len() > (self.max_bdd / 4).max(1_000_000) {
-                    // Op caches can dominate memory on long builds; the
-                    // unique table (canonicity) is untouched.
-                    manager.clear_op_caches();
                 }
                 self.calls += 1;
                 if self.calls > MAX_BUILD_CALLS {

@@ -21,16 +21,17 @@ pub enum Metric {
     /// Entries into the BDD `ite` / `try_ite_b` recursion (terminal
     /// cases included).
     IteCalls,
-    /// Hits in any BDD operation cache (ite, quantify, compose).
+    /// Hits in the BDD computed table (ite, quantify, compose).
     CacheHits,
-    /// Misses in any BDD operation cache.
+    /// Misses in the BDD computed table.
     CacheMisses,
     /// Probes of the unique table in `BddManager::mk`.
     UniqueTableProbes,
     /// BDD nodes freshly allocated (unique-table misses).
     NodesAllocated,
-    /// Operation-cache flushes (`clear_op_caches`). Arena-level
-    /// mark-and-sweep passes are counted separately as `GcSweeps`.
+    /// Computed-table flushes (`clear_op_caches`; no engine path
+    /// flushes). Arena-level mark-and-sweep passes are counted
+    /// separately as `GcSweeps`.
     GcRuns,
     /// Budget cancellation probes (`AnalysisBudget::poll`).
     BudgetPolls,
@@ -54,7 +55,7 @@ pub enum Metric {
     /// Unique-table probes that fell through to an allocation.
     UniqueTableMisses,
     /// Mark-and-sweep garbage-collection passes over the node arena
-    /// (distinct from `GcRuns`, the op-cache flushes).
+    /// (distinct from `GcRuns`, the computed-table flushes).
     GcSweeps,
     /// Arena nodes reclaimed by mark-and-sweep passes.
     GcNodesReclaimed,
