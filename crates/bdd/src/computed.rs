@@ -140,6 +140,11 @@ impl ComputedTable {
         }
     }
 
+    /// Resident bytes of the slot array.
+    pub(crate) fn bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<Entry>()
+    }
+
     /// Empties every slot.
     pub(crate) fn clear(&mut self) {
         self.entries.fill(Entry::default());

@@ -226,7 +226,7 @@ impl BddManager {
         self.computed.retain(|b| mark[b.index()]);
         self.gc_stats.sweeps += 1;
         self.gc_stats.reclaimed += reclaimed as u64;
-        self.obs_gc_sweep(reclaimed as u64);
+        self.bump_gc_sweep(reclaimed as u64);
         reclaimed
     }
 }

@@ -19,6 +19,8 @@
 
 use std::fmt;
 
+use tbf_obs::Metric;
+
 use crate::computed::Key;
 use crate::manager::BddManager;
 use crate::node::{Bdd, Var};
@@ -153,7 +155,7 @@ impl BddManager {
         h: Bdd,
         budget: &OpBudget<'_>,
     ) -> Result<Bdd, OpAbort> {
-        self.obs_ite_call();
+        self.bump(Metric::IteCalls);
         let (mut g, mut h) = (g, h);
         // Arguments equal (or complementary) to the selector collapse.
         if g == f {
@@ -195,10 +197,10 @@ impl BddManager {
         }
         let key = Key::ite(f, g, h);
         if let Some(r) = self.computed.get(key) {
-            self.obs_cache_hit();
+            self.bump(Metric::CacheHits);
             return Ok(if neg_result { r.negate() } else { r });
         }
-        self.obs_cache_miss();
+        self.bump(Metric::CacheMisses);
         // Recursion splits on the topmost variable `top`, taking cofactors
         // of the *function* (the complement tag on an argument propagates
         // to its children).
@@ -284,10 +286,10 @@ impl BddManager {
         }
         let key = Key::quantify(f, v, existential);
         if let Some(r) = self.computed.get(key) {
-            self.obs_cache_hit();
+            self.bump(Metric::CacheHits);
             return Ok(r);
         }
-        self.obs_cache_miss();
+        self.bump(Metric::CacheMisses);
         let r = if n.var == v.0 {
             if existential {
                 self.try_or_b(n.lo, n.hi, budget)?

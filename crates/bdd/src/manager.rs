@@ -3,6 +3,8 @@
 
 use std::collections::HashMap;
 
+use tbf_obs::Metric;
+
 use crate::computed::ComputedTable;
 use crate::node::{Bdd, Node, Var, TERMINAL_LEVEL};
 use crate::unique::UniqueTables;
@@ -75,7 +77,6 @@ pub struct BddManager {
     var_names: Vec<String>,
     /// Shared effort-counter registry (see [`crate::obs`]); `None` until
     /// [`set_counters`](Self::set_counters) installs one.
-    #[cfg(feature = "obs")]
     pub(crate) counters: Option<std::sync::Arc<tbf_obs::Counters>>,
 }
 
@@ -100,7 +101,6 @@ impl BddManager {
             peak_arena: 1,
             computed: ComputedTable::new(),
             var_names: Vec::new(),
-            #[cfg(feature = "obs")]
             counters: None,
         }
     }
@@ -155,10 +155,13 @@ impl BddManager {
         self.peak_arena
     }
 
-    /// Approximate resident bytes of the node arena plus the unique
-    /// subtables' slot arrays (memory telemetry for benches).
+    /// Approximate resident bytes of the node arena, the unique
+    /// subtables' slot arrays and the computed table (memory telemetry
+    /// for benches).
     pub fn arena_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<Node>() + self.unique.slot_bytes()
+        self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.unique.slot_bytes()
+            + self.computed.bytes()
     }
 
     /// The function that is true exactly when `v` is true.
@@ -207,13 +210,12 @@ impl BddManager {
     /// hi)` as stored and returns the plain (untagged) handle.
     fn mk_regular(&mut self, var: u32, lo: Bdd, hi: Bdd) -> Bdd {
         debug_assert!(!hi.is_complemented(), "hi edge must be regular");
-        self.obs_unique_probe();
+        self.bump(Metric::UniqueTableProbes);
         if let Some(slot) = self.unique.get(var, lo, hi, &self.nodes) {
-            self.obs_unique_hit();
+            self.bump(Metric::UniqueTableHits);
             return Bdd::from_index(slot as usize);
         }
-        self.obs_unique_miss();
-        self.obs_node_alloc();
+        self.bump(Metric::NodesAllocated);
         let node = Node { var, lo, hi };
         // Reuse a GC-freed slot before growing the arena.
         let slot = match self.free.pop() {
@@ -430,7 +432,6 @@ impl BddManager {
     /// only recompute what they need. The table is bounded on its own,
     /// so nothing needs this to cap memory.
     pub fn clear_op_caches(&mut self) {
-        self.obs_gc_run();
         self.computed.clear();
     }
 }
@@ -460,6 +461,25 @@ mod tests {
         let m = BddManager::new();
         assert_eq!(m.node_count(), 1);
         assert_eq!(m.var_count(), 0);
+    }
+
+    #[test]
+    fn arena_bytes_counts_the_grown_computed_table() {
+        let mut m = BddManager::new();
+        let fresh_table = m.computed.len();
+        // One node per variable: the arena outgrows the fresh table,
+        // which doubles to follow it.
+        for _ in 0..fresh_table {
+            let v = m.new_var();
+            m.var(v);
+        }
+        let table = m.computed.len();
+        assert_eq!(table, 2 * fresh_table);
+        let nodes = m.nodes.capacity() * std::mem::size_of::<Node>();
+        assert!(
+            m.arena_bytes() >= nodes + m.unique.slot_bytes() + 16 * table,
+            "16 B per computed-table slot"
+        );
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! budgeted recursions of `limit.rs` under an unlimited budget, so each
 //! operation has one implementation.
 
+use tbf_obs::Metric;
+
 use crate::computed::Key;
 use crate::limit::{OpAbort, OpBudget};
 use crate::manager::BddManager;
@@ -130,10 +132,10 @@ impl BddManager {
         }
         let key = Key::compose(f, v, g);
         if let Some(r) = self.computed.get(key) {
-            self.obs_cache_hit();
+            self.bump(Metric::CacheHits);
             return r;
         }
-        self.obs_cache_miss();
+        self.bump(Metric::CacheMisses);
         let r = if n.var == v.0 {
             self.ite(g, n.hi, n.lo)
         } else {

@@ -650,45 +650,34 @@ fn main() -> ExitCode {
         topological_delay(&netlist).to_string()
     );
 
-    // With the `obs` feature the whole analysis runs inside `observe`,
-    // so BDD counters and the phase tree land in the artifact; without
-    // it the artifact still carries the deterministic result sections.
-    #[cfg(feature = "obs")]
+    // Under `--emit-metrics` the whole analysis runs inside `observe`, so
+    // BDD counters and the phase tree land in the artifact.
     let started = std::time::Instant::now();
-    #[cfg(feature = "obs")]
-    let ((failures, results), observation) = if args.emit_metrics.is_some() {
-        let (out, o) = tbf_core::obs::observe(|| run_models(&args, &netlist, &options));
-        (out, Some(o))
-    } else {
-        (run_models(&args, &netlist, &options), None)
+    let ((failures, results), observation) = match &args.emit_metrics {
+        Some(target) => {
+            let (out, o) = tbf_core::obs::observe(|| run_models(&args, &netlist, &options));
+            (out, Some((target, o)))
+        }
+        None => (run_models(&args, &netlist, &options), None),
     };
-    #[cfg(not(feature = "obs"))]
-    let (failures, results) = run_models(&args, &netlist, &options);
 
-    if let Some(target) = &args.emit_metrics {
+    if let Some((target, o)) = observation {
         let mut artifact = RunArtifact::new();
         artifact.section("circuit", circuit_value(&args.netlist, &netlist));
         artifact.section("policy", policy_value(&args, &options));
         artifact.section("results", results);
-        #[cfg(feature = "obs")]
-        if let Some(o) = &observation {
-            artifact.section("counters", tbf_obs::artifact::counters_section(&o.counters));
-            artifact.section(
-                "histograms",
-                tbf_obs::artifact::histograms_section(&o.counters),
-            );
-            artifact.section("phases", tbf_obs::phase::to_value(&o.phases));
-            artifact.section(
-                "timing",
-                Value::Obj(vec![
-                    (
-                        "total_us".to_owned(),
-                        Value::u64(started.elapsed().as_micros() as u64),
-                    ),
-                    ("phases".to_owned(), tbf_obs::phase::timing_rows(&o.phases)),
-                ]),
-            );
-        }
+        artifact.section("counters", tbf_obs::artifact::counters_section(&o.counters));
+        artifact.section("phases", tbf_obs::phase::to_value(&o.phases));
+        artifact.section(
+            "timing",
+            Value::Obj(vec![
+                (
+                    "total_us".to_owned(),
+                    Value::u64(started.elapsed().as_micros() as u64),
+                ),
+                ("phases".to_owned(), tbf_obs::phase::timing_rows(&o.phases)),
+            ]),
+        );
         let text = artifact.render();
         if target == "-" {
             println!("{text}");

@@ -1,11 +1,11 @@
 //! End-to-end checks of `tbf --emit-metrics`: the run artifact is
 //! schema-valid and its deterministic sections are byte-identical across
-//! `--threads {1,2,8}` on c17.
+//! `--threads {1,2,8}` on c17; `tbf serve --emit-metrics` writes each
+//! analyzed request's counters into its row.
 
-#![cfg(feature = "obs")]
-
+use std::io::Write;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use tbf_obs::json::Value;
 use tbf_obs::RunArtifact;
@@ -47,25 +47,21 @@ fn deterministic_without_policy(doc: &Value) -> String {
 #[test]
 fn artifact_is_schema_valid_with_all_sections() {
     let doc = run_artifact(&[]);
-    for section in [
-        "circuit",
-        "policy",
-        "results",
-        "counters",
-        "histograms",
-        "phases",
-        "timing",
-    ] {
-        assert!(doc.get(section).is_some(), "missing section `{section}`");
-    }
-    // The timing section must serialize last.
-    let keys: Vec<&String> = doc
+    let version = doc
+        .get("schema")
+        .and_then(|s| s.get("version"))
+        .and_then(Value::as_u64);
+    assert_eq!(version, Some(3));
+    let keys: Vec<&str> = doc
         .as_object()
         .expect("object")
         .iter()
-        .map(|(k, _)| k)
+        .map(|(k, _)| k.as_str())
         .collect();
-    assert_eq!(keys.last().map(|s| s.as_str()), Some("timing"));
+    assert_eq!(
+        keys,
+        ["schema", "circuit", "policy", "results", "counters", "phases", "timing"]
+    );
     // BDD work actually happened and was counted.
     let ite = doc
         .get("counters")
@@ -155,6 +151,49 @@ fn emit_to_file_writes_the_same_artifact() {
         deterministic_without_policy(&doc),
         deterministic_without_policy(&streamed),
         "file and stream artifacts agree on deterministic sections"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serve_emit_metrics_writes_counters_on_analyzed_rows_only() {
+    let dir = std::env::temp_dir().join(format!("tbf-serve-artifact-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("session.json");
+    let c17 = c17().display().to_string();
+    let frames =
+        format!("{{\"id\":\"r1\",\"path\":\"{c17}\"}}\n{{\"id\":\"r2\",\"path\":\"{c17}\"}}\n");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tbf"))
+        .args(["serve", "--quiet", "--emit-metrics"])
+        .arg(&path)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("tbf serve starts");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(frames.as_bytes())
+        .expect("frames written");
+    let out = child.wait_with_output().expect("tbf serve exits");
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(&path).expect("artifact written");
+    let doc = RunArtifact::validate(&text).expect("schema-valid");
+    let rows = doc
+        .get("requests")
+        .and_then(Value::as_array)
+        .expect("requests section");
+    assert_eq!(rows.len(), 2);
+    assert_eq!(rows[1].get("cached"), Some(&Value::Bool(true)));
+    let ite = rows[0]
+        .get("counters")
+        .and_then(|c| c.get("ite_calls"))
+        .and_then(Value::as_u64);
+    assert!(ite > Some(0), "the analyzed row counts its BDD work");
+    assert!(
+        rows[1].get("counters").is_none(),
+        "a warm-cache hit runs no analysis"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

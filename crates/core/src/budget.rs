@@ -109,7 +109,6 @@ pub struct AnalysisBudget {
     /// reports into one registry; u64 sums are commutative and the
     /// per-cone work is deterministic, so totals are identical at every
     /// thread count.
-    #[cfg(feature = "obs")]
     counters: Option<Arc<tbf_obs::Counters>>,
 }
 
@@ -129,7 +128,6 @@ impl AnalysisBudget {
             token: None,
             polls: AtomicU64::new(0),
             tripped: AtomicU8::new(TRIP_NONE),
-            #[cfg(feature = "obs")]
             counters: crate::obs::session_counters(),
         }
     }
@@ -170,7 +168,6 @@ impl AnalysisBudget {
             token: self.token.clone(),
             polls: AtomicU64::new(0),
             tripped: AtomicU8::new(TRIP_NONE),
-            #[cfg(feature = "obs")]
             counters: self.counters.clone(),
         }
     }
@@ -208,21 +205,18 @@ impl AnalysisBudget {
             token: Some(token),
             polls: AtomicU64::new(0),
             tripped: AtomicU8::new(TRIP_NONE),
-            #[cfg(feature = "obs")]
             counters: crate::obs::session_counters().or_else(|| self.counters.clone()),
         }
     }
 
     /// The counter registry this budget (and its forks) report into;
     /// `None` when the budget was built outside an observed run.
-    #[cfg(feature = "obs")]
     pub(crate) fn counters(&self) -> Option<&Arc<tbf_obs::Counters>> {
         self.counters.as_ref()
     }
 
     /// Cancellation probes consumed so far. Forks start from zero, so on
     /// a per-cone budget this is the cone's own consumption.
-    #[cfg(feature = "obs")]
     pub(crate) fn poll_count(&self) -> u64 {
         self.polls.load(Ordering::Relaxed)
     }
@@ -288,7 +282,6 @@ impl AnalysisBudget {
             }
         }
         let n = self.polls.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "obs")]
         if let Some(c) = &self.counters {
             c.bump(tbf_obs::Metric::BudgetPolls);
         }

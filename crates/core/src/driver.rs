@@ -344,7 +344,6 @@ struct ConeOutcome {
     /// The cone's phase subtree, captured on whichever worker ran the
     /// job and attached by the coordinator in netlist output order, so
     /// the merged tree never depends on scheduling (merge-on-join).
-    #[cfg(feature = "obs")]
     phases: Vec<tbf_obs::PhaseNode>,
 }
 
@@ -478,7 +477,6 @@ impl ConeStore {
         let outcome = ConeOutcome {
             // The phase subtree records this run's work; a request that
             // reuses the cone does none, so it must not replay the spans.
-            #[cfg(feature = "obs")]
             phases: Vec::new(),
             ..outcome.clone()
         };
@@ -514,9 +512,9 @@ impl ConeStore {
 /// (deadline-bearing) requests, which must recompute every cone like a
 /// cold start; exact results from such runs are still written back.
 ///
-/// The second return value reports the reuse split; under the `obs`
-/// feature an observed run also folds the same numbers into the budget's
-/// counter registry as `eco_cones_reused` / `eco_cones_recomputed`.
+/// The second return value reports the reuse split; an observed run
+/// also folds the same numbers into the budget's counter registry as
+/// `eco_cones_reused` / `eco_cones_recomputed`.
 #[must_use]
 pub fn analyze_eco(
     netlist: &Netlist,
@@ -525,10 +523,8 @@ pub fn analyze_eco(
     store: &mut ConeStore,
     reuse_results: bool,
 ) -> (CircuitReport, EcoStats) {
-    #[cfg(feature = "obs")]
     let counters = budget.counters().cloned();
     let (report, eco) = analyze_impl(netlist, policy, budget, Some((store, reuse_results)));
-    #[cfg(feature = "obs")]
     if let Some(counters) = counters {
         counters.add(tbf_obs::Metric::EcoConesReused, eco.reused as u64);
         counters.add(tbf_obs::Metric::EcoConesRecomputed, eco.recomputed as u64);
@@ -632,7 +628,6 @@ fn analyze_impl(
                 store.retain(&jobs[i].key, &outcome);
             }
         }
-        #[cfg(feature = "obs")]
         tbf_obs::phase::attach(std::mem::take(&mut outcome.phases));
         if let Some((delay, parts)) = outcome.witness.take() {
             if delay > witness_delay {
@@ -688,7 +683,6 @@ fn run_cone_job(
                 entry,
                 stats,
                 witness,
-                #[cfg(feature = "obs")]
                 phases: Vec::new(),
             }
         };
@@ -696,7 +690,6 @@ fn run_cone_job(
         // registry), capture the cone's phase subtree on this worker; the
         // driver attaches it in output order so the tree is
         // schedule-independent. An unobserved run records no spans.
-        #[cfg(feature = "obs")]
         if budget.counters().is_some() {
             let (mut outcome, phases) = tbf_obs::phase::capture(|| {
                 let _cone = crate::obs::RungSpan::open(&format!("cone:{}", job.name), &budget);
@@ -731,10 +724,8 @@ fn cone_rungs(
     // breakpoint that capped.
     let mut attempts = 0usize;
     let mut resume = None;
-    #[cfg(feature = "obs")]
     let mut rung_name = "two_vector_exact";
     loop {
-        #[cfg(feature = "obs")]
         let _rung = crate::obs::RungSpan::open(rung_name, budget);
         if let Err(e) = ensure_engine(cone, budget, engine) {
             cause = DegradeCause::from_error(&e).unwrap_or(DegradeCause::InternalInvariant);
@@ -789,10 +780,7 @@ fn cone_rungs(
                 if retryable && attempts < MAX_RETRIES {
                     attempts += 1;
                     stats.retries += 1;
-                    #[cfg(feature = "obs")]
-                    {
-                        rung_name = "escalated_retry";
-                    }
+                    rung_name = "escalated_retry";
                     budget.escalate(ESCALATION_FACTOR);
                     // Every interval above the capped breakpoint tested
                     // transition-free, an answer no cap changes: the
@@ -817,7 +805,6 @@ fn cone_rungs(
     // budget is interrupted (it would fail identically at its first
     // poll).
     if !panicked && budget.cause().is_none() && ensure_engine(cone, budget, engine).is_ok() {
-        #[cfg(feature = "obs")]
         let _rung = crate::obs::RungSpan::open("sequences_bound", budget);
         let attempt: Attempt<Time> = run_rung(engine, |eng| {
             crate::model::cone_delay(&mut crate::sequences::Sequences, eng, out_id, None, stats)
@@ -860,7 +847,6 @@ fn cone_rungs(
             },
         }
     } else {
-        #[cfg(feature = "obs")]
         let _rung = crate::obs::RungSpan::open("topological_bound", budget);
         stats.topological_fallbacks += 1;
         OutputDelay {
@@ -1335,7 +1321,6 @@ mod tests {
         assert!(s.contains("topological 40"), "{s}");
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn only_observed_cone_jobs_record_phases() {
         let job = ConeJob::new(&paper_bypass_adder(), 0);

@@ -74,7 +74,6 @@ mod tbf;
 
 pub mod fault;
 pub mod lower_bounds;
-#[cfg(feature = "obs")]
 pub mod obs;
 pub mod oracle;
 mod sequences;

@@ -138,7 +138,6 @@ pub(crate) fn delay_with_model(
     let mut witness_delay = Time::MIN;
     let mut first_error: Option<DelayError> = None;
     for (name, out_id) in netlist.outputs() {
-        #[cfg(feature = "obs")]
         let _cone = budget
             .counters()
             .is_some()

@@ -303,7 +303,6 @@ impl ConeContext {
         // registry carried by the budget, so BDD effort shows up in the
         // same place whatever thread builds this engine. An unobserved
         // run has no registry, and its manager counts nothing.
-        #[cfg(feature = "obs")]
         if let Some(c) = self.budget.counters() {
             manager.set_counters(Arc::clone(c));
         }
@@ -689,7 +688,6 @@ impl ConeContext {
                 let kfn = self.suffix.key(usize::MAX);
                 let id = self.table.intern(&kfn);
                 if let Some(&f) = self.memo.get(&(n, id)) {
-                    #[cfg(feature = "obs")]
                     if let Some(c) = self.budget.counters() {
                         c.bump(tbf_obs::Metric::TbfCacheHits);
                     }
@@ -738,7 +736,6 @@ impl ConeContext {
                 // lifetime: pop this frame's shields before propagating.
                 manager.truncate_protected(protect_base);
                 let result = result.map_err(BuildAbort::from_op)?;
-                #[cfg(feature = "obs")]
                 if let Some(c) = self.budget.counters() {
                     c.bump(tbf_obs::Metric::TbfInstantiations);
                 }

@@ -114,7 +114,6 @@ impl DelayModel for Sequences {
             .map_err(|e| e.into_error(b, &cx.budget))?;
         stats.peak_bdd_nodes = stats.peak_bdd_nodes.max(cx.manager.node_count());
         cx.sample_memory(stats);
-        #[cfg(feature = "obs")]
         tbf_obs::phase::record_peak_nodes(cx.manager.node_count() as u64);
         // When the TBF still differs from the settled function, a
         // transition exists arbitrarily close below b (§9.3): the exact

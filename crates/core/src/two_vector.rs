@@ -148,7 +148,6 @@ impl DelayModel for TwoVector {
         stats.resolvents += query.resolvents.len();
         stats.peak_bdd_nodes = stats.peak_bdd_nodes.max(cx.manager.node_count());
         cx.sample_memory(stats);
-        #[cfg(feature = "obs")]
         tbf_obs::phase::record_peak_nodes(cx.manager.node_count() as u64);
 
         let found = check_interval(&netlist, cx, output, &query, window_lo, b, stats)?;
@@ -201,7 +200,6 @@ fn check_interval(
     debug_assert!(!projected.is_false(), "∃ of a non-false BDD");
     stats.peak_bdd_nodes = stats.peak_bdd_nodes.max(cx.manager.node_count());
     cx.sample_memory(stats);
-    #[cfg(feature = "obs")]
     tbf_obs::phase::record_peak_nodes(cx.manager.node_count() as u64);
 
     // Dense LP variable space: every gate on any resolvent path.

@@ -2,9 +2,11 @@
 //!
 //! Every circuit here has its full `CircuitReport` Display output
 //! committed under `tests/goldens/`. The test renders the report at 1
-//! and 4 threads and asserts each is byte-identical to the golden — so
-//! any engine change that perturbs a reported value (delay, bounds,
-//! breakpoint/LP/retry counts, witness) fails loudly with a diff.
+//! and 4 threads, each unobserved and inside `tbf_core::obs::observe`,
+//! and asserts all four are byte-identical to the golden — so any
+//! engine change that perturbs a reported value (delay, bounds,
+//! breakpoint/LP/retry counts, witness) fails loudly with a diff, and
+//! so does instrumentation that perturbs a report.
 //!
 //! The goldens were blessed from the pre-refactor engine; re-bless
 //! (after deliberately changing reported behavior) with:
@@ -12,13 +14,11 @@
 //! ```text
 //! TBF_BLESS=1 cargo test -p tbf-core --test engine_equivalence
 //! ```
-//!
-//! The suite compiles with and without the `obs` feature, so CI can
-//! prove instrumentation does not perturb reports either.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use tbf_core::obs::observe;
 use tbf_core::{analyze, AnalysisPolicy};
 use tbf_logic::generators::adders::{carry_bypass, paper_bypass_adder, ripple_carry};
 use tbf_logic::generators::figures::{figure1_three_paths, figure4_example3, figure6_glitch};
@@ -53,15 +53,22 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.txt"))
 }
 
-/// Renders one circuit's report, asserting the 4-thread report is
-/// identical to the sequential one first.
+/// Renders one circuit's report, asserting first that the 4-thread
+/// and observed reports are identical to the sequential unobserved one.
 fn render_matrix(name: &str, netlist: &Netlist) -> String {
-    let baseline = format!("{}\n", analyze(netlist, &AnalysisPolicy::default()));
-    let parallel = format!(
-        "{}\n",
-        analyze(netlist, &AnalysisPolicy::default().with_threads(4))
-    );
-    assert_eq!(parallel, baseline, "{name}: report differs at threads=4");
+    let render = |threads: usize| {
+        let policy = AnalysisPolicy::default().with_threads(threads);
+        format!("{}\n", analyze(netlist, &policy))
+    };
+    let baseline = render(1);
+    assert_eq!(render(4), baseline, "{name}: report differs at threads=4");
+    for threads in [1, 4] {
+        let (observed, _) = observe(|| render(threads));
+        assert_eq!(
+            observed, baseline,
+            "{name}: observed report differs at threads={threads}"
+        );
+    }
     baseline
 }
 

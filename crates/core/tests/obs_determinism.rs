@@ -1,8 +1,8 @@
-//! Observability determinism suite (`obs` feature).
+//! Observability determinism suite.
 //!
 //! The contract under test: instrumentation observes the analysis
-//! without perturbing it, and everything it records — counter totals,
-//! histograms, and the phase tree — is **byte-identical** across worker
+//! without perturbing it, and everything it records — counter totals
+//! and the phase tree — is **byte-identical** across worker
 //! thread counts, because every cone does identical logical work on a
 //! fresh engine and the phase subtrees are merged on join in netlist
 //! output order.

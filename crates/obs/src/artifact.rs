@@ -14,7 +14,9 @@
 //!
 //! Versioning policy: `version` bumps on any change that removes or
 //! re-types an existing key; purely additive keys keep the version.
-//! Version 2 removed the variable-reordering counter and histogram.
+//! Version 2 removed the variable-reordering counter and histogram;
+//! version 3 removed the `gc_runs` and `unique_table_misses` counters
+//! and the `histograms` section.
 //! [`RunArtifact::validate`] accepts every version up to the current one.
 //!
 //! # Example
@@ -28,14 +30,14 @@
 //! assert_eq!(doc.get("circuit").and_then(|c| c.get("gates")).and_then(Value::as_u64), Some(6));
 //! ```
 
-use crate::counters::{Counters, HistMetric};
+use crate::counters::Counters;
 use crate::json::Value;
 
 /// The schema identifier stamped into every artifact.
 pub const SCHEMA_NAME: &str = "tbf-run-artifact";
 
 /// The current schema version (bumped on breaking key changes only).
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// An in-construction run artifact. See the [module docs](self) for the
 /// layout contract.
@@ -138,35 +140,6 @@ pub fn counters_section(counters: &Counters) -> Value {
     )
 }
 
-/// The `histograms` section of a registry: per histogram `{count, sum,
-/// buckets}` where `buckets` is a list of `[lo, hi, count]` value-range
-/// triples (empty buckets omitted).
-pub fn histograms_section(counters: &Counters) -> Value {
-    Value::Obj(
-        HistMetric::ALL
-            .iter()
-            .map(|&m| {
-                let h = counters.histogram(m);
-                let buckets = h
-                    .nonzero_buckets()
-                    .into_iter()
-                    .map(|(lo, hi, n)| {
-                        Value::Arr(vec![Value::u64(lo), Value::u64(hi), Value::u64(n)])
-                    })
-                    .collect();
-                (
-                    m.name().to_owned(),
-                    Value::Obj(vec![
-                        ("count".to_owned(), Value::u64(h.count())),
-                        ("sum".to_owned(), Value::u64(h.sum())),
-                        ("buckets".to_owned(), Value::Arr(buckets)),
-                    ]),
-                )
-            })
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,9 +170,10 @@ mod tests {
         let ok = RunArtifact::new().render();
         assert!(RunArtifact::validate(&ok).is_ok());
         // Older versions stay readable.
-        assert!(
-            RunArtifact::validate(r#"{"schema":{"name":"tbf-run-artifact","version":1}}"#).is_ok()
-        );
+        for v in [1, 2] {
+            let old = format!(r#"{{"schema":{{"name":"tbf-run-artifact","version":{v}}}}}"#);
+            assert!(RunArtifact::validate(&old).is_ok(), "version {v}");
+        }
     }
 
     #[test]

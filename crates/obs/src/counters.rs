@@ -1,8 +1,7 @@
-//! Lock-free named counters and log₂ histograms.
+//! Lock-free named counters.
 //!
 //! A [`Counters`] registry is a fixed array of `AtomicU64`s indexed by
-//! the [`Metric`] enum plus a fixed array of [`Histogram`]s indexed by
-//! [`HistMetric`]. All updates are `Ordering::Relaxed` — the registry
+//! the [`Metric`] enum. All updates are `Ordering::Relaxed` — the registry
 //! records *totals of deterministic work*, so no ordering between
 //! threads is ever needed: u64 sums are commutative and the engines do
 //! the same logical work at every thread count.
@@ -29,10 +28,6 @@ pub enum Metric {
     UniqueTableProbes,
     /// BDD nodes freshly allocated (unique-table misses).
     NodesAllocated,
-    /// Computed-table flushes (`clear_op_caches`; no engine path
-    /// flushes). Arena-level mark-and-sweep passes are counted
-    /// separately as `GcSweeps`.
-    GcRuns,
     /// Budget cancellation probes (`AnalysisBudget::poll`).
     BudgetPolls,
     /// Timed-function gate BDDs actually built by the delay-model
@@ -48,14 +43,10 @@ pub enum Metric {
     /// Cones the incremental engine actually ran: changed slices,
     /// never-seen slices, or every cone on a volatile request.
     EcoConesRecomputed,
-    /// Unique-table probes that found an interned node (probes = hits +
-    /// misses; appended after the ECO metrics to keep registry order
-    /// stable).
+    /// Unique-table probes that found an interned node; the other
+    /// probes allocate, so probes = hits + `NodesAllocated`.
     UniqueTableHits,
-    /// Unique-table probes that fell through to an allocation.
-    UniqueTableMisses,
-    /// Mark-and-sweep garbage-collection passes over the node arena
-    /// (distinct from `GcRuns`, the computed-table flushes).
+    /// Mark-and-sweep garbage-collection passes over the node arena.
     GcSweeps,
     /// Arena nodes reclaimed by mark-and-sweep passes.
     GcNodesReclaimed,
@@ -63,20 +54,18 @@ pub enum Metric {
 
 impl Metric {
     /// Every metric, in registry (serialization) order.
-    pub const ALL: [Metric; 15] = [
+    pub const ALL: [Metric; 13] = [
         Metric::IteCalls,
         Metric::CacheHits,
         Metric::CacheMisses,
         Metric::UniqueTableProbes,
         Metric::NodesAllocated,
-        Metric::GcRuns,
         Metric::BudgetPolls,
         Metric::TbfInstantiations,
         Metric::TbfCacheHits,
         Metric::EcoConesReused,
         Metric::EcoConesRecomputed,
         Metric::UniqueTableHits,
-        Metric::UniqueTableMisses,
         Metric::GcSweeps,
         Metric::GcNodesReclaimed,
     ];
@@ -89,14 +78,12 @@ impl Metric {
             Metric::CacheMisses => "cache_misses",
             Metric::UniqueTableProbes => "unique_table_probes",
             Metric::NodesAllocated => "nodes_allocated",
-            Metric::GcRuns => "gc_runs",
             Metric::BudgetPolls => "budget_polls",
             Metric::TbfInstantiations => "tbf_instantiations",
             Metric::TbfCacheHits => "tbf_cache_hits",
             Metric::EcoConesReused => "eco_cones_reused",
             Metric::EcoConesRecomputed => "eco_cones_recomputed",
             Metric::UniqueTableHits => "unique_table_hits",
-            Metric::UniqueTableMisses => "unique_table_misses",
             Metric::GcSweeps => "gc_sweeps",
             Metric::GcNodesReclaimed => "gc_nodes_reclaimed",
         }
@@ -107,124 +94,28 @@ impl Metric {
     }
 }
 
-/// Named log₂-bucket histograms.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HistMetric {
-    /// Breakpoints visited per analyzed cone.
-    ConeBreakpoints,
-}
-
-impl HistMetric {
-    /// Every histogram metric, in registry (serialization) order.
-    pub const ALL: [HistMetric; 1] = [HistMetric::ConeBreakpoints];
-
-    /// The histogram's stable `snake_case` name, as serialized.
-    pub fn name(self) -> &'static str {
-        match self {
-            HistMetric::ConeBreakpoints => "cone_breakpoints",
-        }
-    }
-
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
-const N_BUCKETS: usize = 65;
-
-/// A lock-free histogram with log₂ buckets: bucket 0 holds the value 0
-/// and bucket `i ≥ 1` holds values in `[2^(i−1), 2^i − 1]`.
-#[derive(Debug)]
-pub struct Histogram {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; N_BUCKETS],
-}
-
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO: AtomicU64 = AtomicU64::new(0);
-
-impl Histogram {
-    fn new() -> Histogram {
-        Histogram {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: [ZERO; N_BUCKETS],
-        }
-    }
-
-    fn bucket_index(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            (64 - value.leading_zeros()) as usize
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&self, value: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.buckets[Histogram::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observed values.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// The non-empty buckets as `(lo, hi, count)` value-range triples,
-    /// in ascending order.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
-        let mut out = Vec::new();
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
-            if n == 0 {
-                continue;
-            }
-            let (lo, hi) = if i == 0 {
-                (0, 0)
-            } else {
-                (
-                    1u64 << (i - 1),
-                    (1u64 << (i - 1)).wrapping_mul(2).wrapping_sub(1),
-                )
-            };
-            out.push((lo, hi, n));
-        }
-        out
-    }
-}
-
 /// The lock-free counter registry shared (via [`Arc`]) by every BDD
 /// manager, budget, and worker thread of one observed run.
 ///
 /// # Example
 ///
 /// ```
-/// use tbf_obs::{Counters, HistMetric, Metric};
+/// use tbf_obs::{Counters, Metric};
 /// let c = Counters::new();
 /// c.bump(Metric::GcSweeps);
-/// c.observe(HistMetric::ConeBreakpoints, 1000);
+/// c.add(Metric::GcNodesReclaimed, 40);
 /// assert_eq!(c.get(Metric::GcSweeps), 1);
-/// assert_eq!(c.histogram(HistMetric::ConeBreakpoints).count(), 1);
+/// assert_eq!(c.get(Metric::GcNodesReclaimed), 40);
 /// ```
 #[derive(Debug)]
 pub struct Counters {
     vals: [AtomicU64; Metric::ALL.len()],
-    hists: [Histogram; HistMetric::ALL.len()],
 }
 
 impl Default for Counters {
     fn default() -> Self {
         Counters {
-            vals: [ZERO; Metric::ALL.len()],
-            hists: [Histogram::new()],
+            vals: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 }
@@ -257,17 +148,6 @@ impl Counters {
         self.vals[metric.index()].load(Ordering::Relaxed)
     }
 
-    /// Records one observation into `metric`'s histogram.
-    #[inline]
-    pub fn observe(&self, metric: HistMetric, value: u64) {
-        self.hists[metric.index()].observe(value);
-    }
-
-    /// The named histogram.
-    pub fn histogram(&self, metric: HistMetric) -> &Histogram {
-        &self.hists[metric.index()]
-    }
-
     /// All counter totals as `(name, value)` pairs in registry order.
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
         Metric::ALL
@@ -295,29 +175,13 @@ mod tests {
     #[test]
     fn snapshot_is_in_registry_order() {
         let c = Counters::new();
-        c.bump(Metric::GcRuns);
+        c.bump(Metric::BudgetPolls);
         let snap = c.snapshot();
         assert_eq!(snap.len(), Metric::ALL.len());
         assert_eq!(snap[0].0, "ite_calls");
-        assert_eq!(snap[5], ("gc_runs", 1));
-        assert_eq!(snap[13].0, "gc_sweeps");
-        assert_eq!(snap[14].0, "gc_nodes_reclaimed");
-    }
-
-    #[test]
-    fn histogram_buckets_are_log2() {
-        let h = Histogram::new();
-        h.observe(0);
-        h.observe(1);
-        h.observe(2);
-        h.observe(3);
-        h.observe(1024);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1030);
-        assert_eq!(
-            h.nonzero_buckets(),
-            vec![(0, 0, 1), (1, 1, 1), (2, 3, 2), (1024, 2047, 1)]
-        );
+        assert_eq!(snap[5], ("budget_polls", 1));
+        assert_eq!(snap[11].0, "gc_sweeps");
+        assert_eq!(snap[12].0, "gc_nodes_reclaimed");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! A zero-dependency metrics layer shared by every crate in the
 //! workspace. It deliberately separates two kinds of telemetry:
 //!
-//! * **Deterministic effort counters** ([`Counters`], [`Metric`],
-//!   [`Histogram`]) — lock-free atomic tallies of *logical work*
-//!   (ITE calls, cache hits, nodes allocated, GC sweeps). Because the
+//! * **Deterministic effort counters** ([`Counters`], [`Metric`]) —
+//!   lock-free atomic tallies of *logical work* (ITE calls, cache
+//!   hits, nodes allocated, GC sweeps). Because the
 //!   engines' work is deterministic and u64 addition is commutative,
 //!   counter totals are byte-identical at every thread count.
 //! * **Volatile timing** — wall-clock figures attached to the phase
@@ -45,6 +45,6 @@ pub mod json;
 pub mod phase;
 
 pub use artifact::RunArtifact;
-pub use counters::{Counters, HistMetric, Histogram, Metric};
+pub use counters::{Counters, Metric};
 pub use json::Value;
 pub use phase::{Phase, PhaseNode};

@@ -28,7 +28,9 @@ use crate::session::{ServeConfig, Session};
 pub struct RunnerConfig {
     /// Serve a unix socket at this path instead of stdin/stdout.
     pub listen: Option<String>,
-    /// Write the final session artifact here (pretty JSON).
+    /// Write the final session artifact here (pretty JSON). Set, it also
+    /// makes the runner observe each frame, so the artifact's request
+    /// rows carry their effort counters.
     pub emit_metrics: Option<String>,
     /// Suppress the shutdown summary on stderr.
     pub quiet: bool,
@@ -56,6 +58,17 @@ where
         writeln!(out, "{response}")?;
     }
     out.flush()
+}
+
+/// Answers one frame, inside its own `observe` when the session's
+/// artifact will be written: the frame's row then carries the counters
+/// of its analysis alone.
+fn handle_frame(session: &mut Session, line: &str, runner: &RunnerConfig) -> String {
+    if runner.emit_metrics.is_some() {
+        tbf_core::obs::observe(|| session.handle_line(line)).0
+    } else {
+        session.handle_line(line)
+    }
 }
 
 /// How often the session loop wakes to poll the shutdown flag while
@@ -145,7 +158,7 @@ pub fn serve_stdio(config: ServeConfig, runner: &RunnerConfig) -> io::Result<i32
                 if line.trim().is_empty() {
                     continue;
                 }
-                let response = session.handle_line(&line);
+                let response = handle_frame(&mut session, &line, runner);
                 writeln!(out, "{response}")?;
                 out.flush()?;
             }
@@ -224,7 +237,7 @@ pub fn serve_unix_socket(
         }
         match frames_rx.recv_timeout(IDLE_POLL) {
             Ok((line, reply_tx)) => {
-                let response = session.handle_line(&line);
+                let response = handle_frame(&mut session, &line, runner);
                 // A client that hung up mid-request just loses its
                 // response; the session carries on.
                 let _ = reply_tx.send(response);

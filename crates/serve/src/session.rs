@@ -256,33 +256,21 @@ impl Session {
             }
         }
 
-        let ((response, (status, attempts, error_kind)), obs_row) = self.analyze_observed(&request);
-        self.push_row(&request.id, status, false, attempts, error_kind, obs_row);
+        let (response, (status, attempts, error_kind)) = self.analyze_request(&request);
+        // The row carries the counters of the `observe` around this
+        // frame, if the caller opened one (the runners do, one per
+        // frame, under `--emit-metrics`); the session opens none.
+        let counters = tbf_core::obs::session_counters().map(|c| {
+            Value::Obj(
+                c.snapshot()
+                    .into_iter()
+                    .filter(|(_, v)| *v > 0)
+                    .map(|(k, v)| (k.to_owned(), Value::u64(v)))
+                    .collect(),
+            )
+        });
+        self.push_row(&request.id, status, false, attempts, error_kind, counters);
         response
-    }
-
-    /// Runs the analysis path under a *per-request* observability
-    /// session (`obs` feature): every counter and phase span recorded
-    /// belongs to this request alone, so a warm process emits honest
-    /// per-request rows instead of one session-cumulative smear.
-    #[cfg(feature = "obs")]
-    fn analyze_observed(&mut self, request: &Request) -> (RequestOutcome, Option<Value>) {
-        let (outcome, obs) = tbf_core::obs::observe(|| self.analyze_request(request));
-        let counters: Vec<(String, Value)> = obs
-            .counters
-            .snapshot()
-            .into_iter()
-            .filter(|(_, v)| *v > 0)
-            .map(|(k, v)| (k.to_owned(), Value::u64(v)))
-            .collect();
-        (outcome, Some(Value::Obj(counters)))
-    }
-
-    /// See the `obs` variant; without the feature there is nothing to
-    /// scope.
-    #[cfg(not(feature = "obs"))]
-    fn analyze_observed(&mut self, request: &Request) -> (RequestOutcome, Option<Value>) {
-        (self.analyze_request(request), None)
     }
 
     /// Admission control: reject up front rather than queue unboundedly.
