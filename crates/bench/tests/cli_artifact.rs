@@ -1,7 +1,8 @@
 //! End-to-end checks of `tbf --emit-metrics`: the run artifact is
 //! schema-valid and its deterministic sections are byte-identical across
 //! `--threads {1,2,8}` on c17; `tbf serve --emit-metrics` writes each
-//! analyzed request's counters into its row.
+//! analyzed request's counters into its row, and a row for each frame it
+//! refused unread.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -195,5 +196,71 @@ fn serve_emit_metrics_writes_counters_on_analyzed_rows_only() {
         rows[1].get("counters").is_none(),
         "a warm-cache hit runs no analysis"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serve_refuses_unreadable_frames_and_keeps_reading() {
+    let dir = std::env::temp_dir().join(format!("tbf-serve-frames-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("session.json");
+    let good = |id: &str| {
+        format!("{{\"id\":\"{id}\",\"circuit\":\"INPUT(a)\\nOUTPUT(f)\\nf = NOT(a)\\n\"}}\n")
+    };
+    let big = format!("{{\"id\":\"big\",\"pad\":\"{}\"}}\n", "x".repeat(300));
+    let frames = [
+        b"\xff{\"id\":\"bad\"}\n",
+        good("r1").as_bytes(),
+        big.as_bytes(),
+        good("r2").as_bytes(),
+    ]
+    .concat();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tbf"))
+        .args(["serve", "--quiet", "--max-frame-bytes", "256"])
+        .arg("--emit-metrics")
+        .arg(&path)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("tbf serve starts");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(&frames)
+        .expect("frames written");
+    let out = child.wait_with_output().expect("tbf serve exits");
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).expect("responses are UTF-8");
+    let text = |v: Option<&Value>| v.and_then(Value::as_str).unwrap_or("-").to_owned();
+    let answers: Vec<String> = stdout
+        .lines()
+        .map(|line| {
+            let doc = tbf_serve::protocol::validate_response(line).expect("schema-valid");
+            let kind = doc.get("error").and_then(|e| e.get("kind"));
+            format!("{} {}", text(doc.get("id")), text(kind))
+        })
+        .collect();
+    assert_eq!(
+        answers,
+        ["- malformed_frame", "r1 -", "- frame_too_large", "r2 -"],
+        "one answer per frame, in order"
+    );
+    let doc = RunArtifact::validate(&std::fs::read_to_string(&path).expect("artifact written"))
+        .expect("schema-valid");
+    let session = doc.get("session").expect("session section");
+    let count = |name: &str| session.get(name).and_then(Value::as_u64);
+    assert_eq!(
+        [count("frames"), count("ok"), count("errors")],
+        [Some(4), Some(2), Some(2)]
+    );
+    let kinds: Vec<String> = doc
+        .get("requests")
+        .and_then(Value::as_array)
+        .expect("requests section")
+        .iter()
+        .map(|row| text(row.get("error_kind")))
+        .collect();
+    assert_eq!(kinds, ["malformed_frame", "-", "frame_too_large", "-"]);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -672,9 +672,9 @@ fn run_cone_job(
     job: &ConeJob,
     policy: &AnalysisPolicy,
     base: &Arc<AnalysisBudget>,
-    plan: &fault::ConePlan,
+    plan: &fault::FaultPlan,
 ) -> ConeOutcome {
-    fault::with_cone_plan(plan, || {
+    fault::with_plan(plan.clone(), || {
         let budget = Arc::new(base.fork(&policy.options));
         let run = || {
             let mut stats = SearchStats::default();

@@ -1,16 +1,21 @@
 //! Deterministic fault injection for exercising the degradation ladder.
 //!
-//! Compiled to no-ops unless the `fault-injection` cargo feature is on:
-//! the release engines pay nothing for the harness. With the feature
-//! enabled, tests arm a thread-local `FaultPlan` naming *injection
-//! sites* ([`Site`]) and hit counts; the engines consult
-//! `trip` at those sites and fail exactly where the plan says, letting
-//! tests walk every error variant and every ladder rung without
-//! constructing pathological circuits.
+//! Tests arm a thread-local `FaultPlan` naming *injection sites*
+//! ([`Site`]) and hit counts; the engines consult `trip` at those sites
+//! and fail exactly where the plan says, letting tests walk every error
+//! variant and every ladder rung without constructing pathological
+//! circuits.
+//!
+//! The harness is always compiled in. An unarmed site costs one read of
+//! a const-initialised thread-local flag that `with_plan` keeps equal
+//! to "this thread's plan is non-empty": while it is clear, `trip`,
+//! `snapshot` and an empty `with_plan` return at once.
 //!
 //! Plans are per-thread and scoped: `with_plan` arms the plan, runs
 //! the closure, and disarms on exit (including on panic), so one test
 //! cannot leak faults into another.
+
+use std::cell::{Cell, RefCell};
 
 /// A named injection point inside the analysis pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -45,187 +50,159 @@ pub enum Site {
     CachePoison,
 }
 
-#[cfg(feature = "fault-injection")]
-mod imp {
-    use super::Site;
-    use std::cell::RefCell;
-
-    /// One armed fault: fires on the `after`-th hit of its site
-    /// (0 = first hit), then disarms.
-    #[derive(Clone, Copy, Debug)]
-    struct Armed {
-        site: Site,
-        after: usize,
-        hits: usize,
-        fired: bool,
-    }
-
-    thread_local! {
-        static PLAN: RefCell<Vec<Armed>> = const { RefCell::new(Vec::new()) };
-    }
-
-    /// A deterministic set of faults to arm for the duration of a
-    /// [`with_plan`](super::with_plan) scope.
-    #[derive(Clone, Debug, Default)]
-    pub struct FaultPlan {
-        armed: Vec<(Site, usize)>,
-    }
-
-    impl FaultPlan {
-        /// An empty plan (no faults).
-        #[must_use]
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Arms `site` to fire once, on its `after`-th hit (0-based).
-        #[must_use]
-        pub fn once_at(mut self, site: Site, after: usize) -> Self {
-            self.armed.push((site, after));
-            self
-        }
-
-        /// Arms `site` to fire on its first hit.
-        #[must_use]
-        pub fn once(self, site: Site) -> Self {
-            self.once_at(site, 0)
-        }
-
-        #[cfg(test)]
-        pub(crate) fn is_empty_for_test(&self) -> bool {
-            self.armed.is_empty()
-        }
-    }
-
-    /// RAII guard restoring the previous plan when a scope ends.
-    struct PlanGuard {
-        previous: Vec<Armed>,
-    }
-
-    impl Drop for PlanGuard {
-        fn drop(&mut self) {
-            PLAN.with(|p| *p.borrow_mut() = std::mem::take(&mut self.previous));
-        }
-    }
-
-    /// Runs `f` with `plan` armed on this thread; the previous plan is
-    /// restored on exit, even if `f` panics.
-    pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
-        let armed: Vec<Armed> = plan
-            .armed
-            .into_iter()
-            .map(|(site, after)| Armed {
-                site,
-                after,
-                hits: 0,
-                fired: false,
-            })
-            .collect();
-        let guard = PlanGuard {
-            previous: PLAN.with(|p| std::mem::replace(&mut *p.borrow_mut(), armed)),
-        };
-        let r = f();
-        drop(guard);
-        r
-    }
-
-    /// Captures the calling thread's plan as a re-armable template: the
-    /// `(site, after)` pairs of every fault that has not yet fired.
-    ///
-    /// The parallel driver snapshots once at `analyze()` entry and
-    /// re-arms a fresh copy per cone job (via
-    /// [`with_cone_plan`](super::with_cone_plan)), so each cone sees the
-    /// same deterministic fault schedule regardless of worker count or
-    /// scheduling order.
-    pub fn snapshot() -> FaultPlan {
-        FaultPlan {
-            armed: PLAN.with(|p| {
-                p.borrow()
-                    .iter()
-                    .filter(|a| !a.fired)
-                    .map(|a| (a.site, a.after))
-                    .collect()
-            }),
-        }
-    }
-
-    /// Records a hit at `site`; returns `true` exactly when an armed
-    /// fault fires here.
-    pub fn trip(site: Site) -> bool {
-        PLAN.with(|p| {
-            let mut plan = p.borrow_mut();
-            for a in plan.iter_mut() {
-                if a.site != site || a.fired {
-                    continue;
-                }
-                let hit = a.hits;
-                a.hits += 1;
-                if hit == a.after {
-                    a.fired = true;
-                    return true;
-                }
-            }
-            false
-        })
-    }
+/// One armed fault: fires on the `after`-th hit of its site
+/// (0 = first hit), then disarms.
+#[derive(Clone, Copy, Debug)]
+struct Armed {
+    site: Site,
+    after: usize,
+    hits: usize,
+    fired: bool,
 }
 
-#[cfg(feature = "fault-injection")]
-pub use imp::{trip, with_plan, FaultPlan};
+thread_local! {
+    static PLAN: RefCell<Vec<Armed>> = const { RefCell::new(Vec::new()) };
+    /// Whether `PLAN` is non-empty: the one read an unarmed site pays.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
 
-/// The per-cone fault schedule handed to each analysis worker: a full
-/// [`FaultPlan`] template with the feature on, a zero-sized stand-in
-/// otherwise (so the driver's plumbing compiles identically either way).
-#[cfg(feature = "fault-injection")]
-pub(crate) type ConePlan = FaultPlan;
+#[inline]
+fn armed() -> bool {
+    ARMED.with(Cell::get)
+}
 
-/// See the `fault-injection` variant.
-#[cfg(not(feature = "fault-injection"))]
+/// A deterministic set of faults to arm for the duration of a
+/// [`with_plan`] scope.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct ConePlan;
-
-/// Snapshots the calling thread's not-yet-fired faults as a re-armable
-/// template (empty/zero-sized when the feature is off). The parallel
-/// driver snapshots once per analysis and re-arms per cone; a service
-/// loop snapshots once per retry attempt so one-shot faults stay spent
-/// across retries.
-#[cfg(feature = "fault-injection")]
-pub fn snapshot() -> ConePlan {
-    imp::snapshot()
+pub struct FaultPlan {
+    armed: Vec<(Site, usize)>,
 }
 
-/// See the `fault-injection` variant.
-#[cfg(not(feature = "fault-injection"))]
-#[inline(always)]
-pub(crate) fn snapshot() -> ConePlan {
-    ConePlan
+impl FaultPlan {
+    /// An empty plan (no faults).
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Arms `site` to fire once, on its `after`-th hit (0-based).
+    #[must_use]
+    pub fn once_at(mut self, site: Site, after: usize) -> Self {
+        self.armed.push((site, after));
+        self
+    }
+
+    /// Arms `site` to fire on its first hit.
+    #[must_use]
+    pub fn once(self, site: Site) -> Self {
+        self.once_at(site, 0)
+    }
 }
 
-/// Runs `f` with a fresh re-arm of the snapshot `plan` on the current
-/// thread — the unit of fault determinism for one cone job.
-#[cfg(feature = "fault-injection")]
-pub(crate) fn with_cone_plan<R>(plan: &ConePlan, f: impl FnOnce() -> R) -> R {
-    with_plan(plan.clone(), f)
+/// RAII guard restoring the previous plan, and the flag with it, when a
+/// scope ends.
+struct PlanGuard {
+    previous: Vec<Armed>,
 }
 
-/// See the `fault-injection` variant.
-#[cfg(not(feature = "fault-injection"))]
-#[inline(always)]
-pub(crate) fn with_cone_plan<R>(_plan: &ConePlan, f: impl FnOnce() -> R) -> R {
-    f()
+impl Drop for PlanGuard {
+    fn drop(&mut self) {
+        ARMED.with(|a| a.set(!self.previous.is_empty()));
+        PLAN.with(|p| *p.borrow_mut() = std::mem::take(&mut self.previous));
+    }
 }
 
-/// No-op [`trip`] when fault injection is compiled out: always `false`,
-/// trivially inlined — zero cost at every call site.
-#[cfg(not(feature = "fault-injection"))]
-#[inline(always)]
-pub fn trip(_site: Site) -> bool {
-    false
+/// Runs `f` with `plan` armed on this thread; the previous plan is
+/// restored on exit, even if `f` panics. An empty plan still shelves an
+/// armed outer plan for the scope; with nothing armed it runs `f`
+/// directly.
+pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
+    if plan.armed.is_empty() && !armed() {
+        return f();
+    }
+    let faults: Vec<Armed> = plan
+        .armed
+        .into_iter()
+        .map(|(site, after)| Armed {
+            site,
+            after,
+            hits: 0,
+            fired: false,
+        })
+        .collect();
+    ARMED.with(|a| a.set(!faults.is_empty()));
+    let guard = PlanGuard {
+        previous: PLAN.with(|p| std::mem::replace(&mut *p.borrow_mut(), faults)),
+    };
+    let r = f();
+    drop(guard);
+    r
 }
 
-#[cfg(all(test, feature = "fault-injection"))]
+/// Captures the calling thread's plan as a re-armable template: the
+/// `(site, after)` pairs of every fault that has not yet fired.
+///
+/// The parallel driver snapshots once at `analyze()` entry and re-arms
+/// a fresh copy per cone job, so each cone sees the same deterministic
+/// fault schedule regardless of worker count or scheduling order; a
+/// service loop snapshots once per retry attempt so one-shot faults stay
+/// spent across retries.
+#[must_use]
+pub fn snapshot() -> FaultPlan {
+    if !armed() {
+        return FaultPlan::new();
+    }
+    FaultPlan {
+        armed: PLAN.with(|p| {
+            p.borrow()
+                .iter()
+                .filter(|a| !a.fired)
+                .map(|a| (a.site, a.after))
+                .collect()
+        }),
+    }
+}
+
+/// Records a hit at `site`; returns `true` exactly when an armed fault
+/// fires here.
+#[inline]
+pub fn trip(site: Site) -> bool {
+    armed() && trip_armed(site)
+}
+
+/// [`trip`] on a thread with a plan armed, kept out of line so that the
+/// engines' inner loops carry only the flag read.
+#[cold]
+#[inline(never)]
+fn trip_armed(site: Site) -> bool {
+    PLAN.with(|p| {
+        let mut plan = p.borrow_mut();
+        for a in plan.iter_mut() {
+            if a.site != site || a.fired {
+                continue;
+            }
+            let hit = a.hits;
+            a.hits += 1;
+            if hit == a.after {
+                a.fired = true;
+                return true;
+            }
+        }
+        false
+    })
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    /// With no plan armed, the production state, no site ever fires.
+    #[test]
+    fn disabled_trip_is_always_false() {
+        assert!(!trip(Site::BddOp));
+        assert!(!trip(Site::ConeStart));
+        assert!(snapshot().armed.is_empty());
+    }
 
     #[test]
     fn fires_once_at_the_requested_hit() {
@@ -246,7 +223,8 @@ mod tests {
             })
         });
         assert!(result.is_err());
-        // The plan armed inside the scope must be gone.
+        // The plan armed inside the scope must be gone, flag included.
+        assert!(!armed());
         assert!(!trip(Site::ConeStart));
     }
 
@@ -256,7 +234,7 @@ mod tests {
             let template = snapshot();
             // Two "cones" each see the one-shot fault fresh.
             for _ in 0..2 {
-                with_cone_plan(&template, || {
+                with_plan(template.clone(), || {
                     assert!(trip(Site::BddOp));
                     assert!(!trip(Site::BddOp));
                 });
@@ -265,8 +243,20 @@ mod tests {
             // own one-shot is still live.
             assert!(trip(Site::BddOp));
             // A fired fault drops out of later snapshots.
-            assert!(snapshot().is_empty_for_test());
+            assert!(snapshot().armed.is_empty());
         });
+    }
+
+    #[test]
+    fn an_empty_plan_shelves_an_armed_outer_plan() {
+        with_plan(FaultPlan::new().once(Site::CubeEnum), || {
+            with_plan(FaultPlan::new(), || {
+                assert!(!armed());
+                assert!(!trip(Site::CubeEnum), "the outer fault is shelved");
+            });
+            assert!(trip(Site::CubeEnum), "and fires once the scope ends");
+        });
+        assert!(!armed());
     }
 
     #[test]
@@ -279,16 +269,5 @@ mod tests {
                 assert!(!trip(Site::BddOp));
             },
         );
-    }
-}
-
-#[cfg(all(test, not(feature = "fault-injection")))]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_trip_is_always_false() {
-        assert!(!trip(Site::BddOp));
-        assert!(!trip(Site::ConeStart));
     }
 }

@@ -1,11 +1,8 @@
-//! Fault-injection walk of the degradation ladder (requires the
-//! `fault-injection` feature).
+//! Fault walk of the degradation ladder.
 //!
 //! Every injection site is armed in turn and the resulting typed error /
 //! ladder rung is checked, always cross-checking that the degraded bounds
 //! still contain the fault-free exact delay of the paper's examples.
-
-#![cfg(feature = "fault-injection")]
 
 use tbf_core::fault::{with_plan, FaultPlan, Site};
 use tbf_core::{

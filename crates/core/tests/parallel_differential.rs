@@ -146,7 +146,6 @@ fn deep_false_path_cone_is_exact_witnessed_and_invariant() {
     assert_thread_invariant(&n, &AnalysisPolicy::default(), "bypass chain 66");
 }
 
-#[cfg(feature = "fault-injection")]
 mod under_faults {
     use super::*;
     use tbf_core::fault::{with_plan, FaultPlan, Site};

@@ -21,6 +21,7 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
 use std::time::Duration;
 
+use crate::protocol::ServeError;
 use crate::session::{ServeConfig, Session};
 
 /// Runner-level (not per-request) settings from the CLI.
@@ -60,15 +61,76 @@ where
     out.flush()
 }
 
+/// One frame as read off a stream: its text, or the typed error that
+/// refused it before decoding (`frame_too_large`, `malformed_frame`).
+type Frame = Result<String, ServeError>;
+
+/// Reads the next LF-terminated frame from `input`, holding at most
+/// `max_frame_bytes` of it: the rest of an over-cap frame is counted and
+/// discarded up to the next LF, so a stream without newlines cannot grow
+/// memory. An over-cap frame comes back as `frame_too_large` and a
+/// frame that is not UTF-8 as `malformed_frame`; either way `input` is
+/// left at the start of the next frame. `None` at EOF.
+fn read_frame(input: &mut impl BufRead, max_frame_bytes: usize) -> io::Result<Option<Frame>> {
+    let mut frame = Vec::new();
+    let mut len = 0usize;
+    loop {
+        let buf = match input.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            if len == 0 {
+                return Ok(None);
+            }
+            break;
+        }
+        let lf = buf.iter().position(|&b| b == b'\n');
+        let chunk = &buf[..lf.unwrap_or(buf.len())];
+        let room = max_frame_bytes.saturating_sub(frame.len());
+        frame.extend_from_slice(&chunk[..chunk.len().min(room)]);
+        len += chunk.len();
+        let used = chunk.len() + usize::from(lf.is_some());
+        input.consume(used);
+        if lf.is_some() {
+            break;
+        }
+    }
+    if len > max_frame_bytes {
+        return Ok(Some(Err(ServeError::FrameTooLarge {
+            bytes: len,
+            cap: max_frame_bytes,
+        })));
+    }
+    Ok(Some(String::from_utf8(frame).map_err(|e| {
+        ServeError::MalformedFrame {
+            detail: format!(
+                "frame is not valid UTF-8 (bad byte at offset {})",
+                e.utf8_error().valid_up_to()
+            ),
+        }
+    })))
+}
+
 /// Answers one frame, inside its own `observe` when the session's
 /// artifact will be written: the frame's row then carries the counters
 /// of its analysis alone.
-fn handle_frame(session: &mut Session, line: &str, runner: &RunnerConfig) -> String {
+fn handle_frame(session: &mut Session, frame: Frame, runner: &RunnerConfig) -> String {
+    let answer = move || match frame {
+        Ok(line) => session.handle_line(&line),
+        Err(err) => session.refuse_frame(err),
+    };
     if runner.emit_metrics.is_some() {
-        tbf_core::obs::observe(|| session.handle_line(line)).0
+        tbf_core::obs::observe(answer).0
     } else {
-        session.handle_line(line)
+        answer()
     }
+}
+
+/// Whether a frame is a blank keep-alive, skipped without an answer.
+fn is_blank(frame: &Frame) -> bool {
+    frame.as_ref().is_ok_and(|line| line.trim().is_empty())
 }
 
 /// How often the session loop wakes to poll the shutdown flag while
@@ -125,6 +187,7 @@ fn finish(session: &Session, runner: &RunnerConfig) -> io::Result<()> {
 /// is answered in-band.
 pub fn serve_stdio(config: ServeConfig, runner: &RunnerConfig) -> io::Result<i32> {
     let drain = config.drain;
+    let max_frame_bytes = config.max_frame_bytes;
     let mut session = Session::new(config);
     signal::install();
 
@@ -134,12 +197,11 @@ pub fn serve_stdio(config: ServeConfig, runner: &RunnerConfig) -> io::Result<i32
     // signals even when no input arrives. Dropping the receiver on exit
     // unblocks nothing — the reader dies with the process, which is
     // fine because by then every received frame has been answered.
-    let (frames_tx, frames_rx) = mpsc::channel::<String>();
+    let (frames_tx, frames_rx) = mpsc::channel::<Frame>();
     thread::spawn(move || {
-        let stdin = io::stdin();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
-            if frames_tx.send(line).is_err() {
+        let mut stdin = io::stdin().lock();
+        while let Ok(Some(frame)) = read_frame(&mut stdin, max_frame_bytes) {
+            if frames_tx.send(frame).is_err() {
                 break;
             }
         }
@@ -154,11 +216,11 @@ pub fn serve_stdio(config: ServeConfig, runner: &RunnerConfig) -> io::Result<i32
             arm_drain_watchdog(&session, drain);
         }
         match frames_rx.recv_timeout(IDLE_POLL) {
-            Ok(line) => {
-                if line.trim().is_empty() {
+            Ok(frame) => {
+                if is_blank(&frame) {
                     continue;
                 }
-                let response = handle_frame(&mut session, &line, runner);
+                let response = handle_frame(&mut session, frame, runner);
                 writeln!(out, "{response}")?;
                 out.flush()?;
             }
@@ -192,14 +254,14 @@ pub fn serve_unix_socket(
     use std::os::unix::net::UnixListener;
 
     let drain = config.drain;
+    let max_frame_bytes = config.max_frame_bytes;
     let mut session = Session::new(config);
     signal::install();
     // A stale socket from a previous run would fail the bind.
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
 
-    type Frame = (String, mpsc::Sender<String>);
-    let (frames_tx, frames_rx) = mpsc::channel::<Frame>();
+    let (frames_tx, frames_rx) = mpsc::channel::<(Frame, mpsc::Sender<String>)>();
     thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(stream) = stream else { continue };
@@ -209,14 +271,13 @@ pub fn serve_unix_socket(
                     return;
                 };
                 let mut write_half = stream;
-                let reader = io::BufReader::new(read_half);
-                for line in reader.lines() {
-                    let Ok(line) = line else { break };
-                    if line.trim().is_empty() {
+                let mut reader = io::BufReader::new(read_half);
+                while let Ok(Some(frame)) = read_frame(&mut reader, max_frame_bytes) {
+                    if is_blank(&frame) {
                         continue;
                     }
                     let (reply_tx, reply_rx) = mpsc::channel();
-                    if frames_tx.send((line, reply_tx)).is_err() {
+                    if frames_tx.send((frame, reply_tx)).is_err() {
                         break; // session is gone; drop the connection
                     }
                     let Ok(response) = reply_rx.recv() else { break };
@@ -236,8 +297,8 @@ pub fn serve_unix_socket(
             arm_drain_watchdog(&session, drain);
         }
         match frames_rx.recv_timeout(IDLE_POLL) {
-            Ok((line, reply_tx)) => {
-                let response = handle_frame(&mut session, &line, runner);
+            Ok((frame, reply_tx)) => {
+                let response = handle_frame(&mut session, frame, runner);
                 // A client that hung up mid-request just loses its
                 // response; the session carries on.
                 let _ = reply_tx.send(response);
@@ -343,5 +404,28 @@ mod tests {
         }
         assert_eq!(session.metrics().ok, 2);
         assert_eq!(session.metrics().errors, 1);
+    }
+
+    #[test]
+    fn read_frame_refuses_bad_bytes_and_keeps_reading() {
+        let bytes = b"\xff\xfe{}\nfirst\n0123456789ab\nsecond\n\nlast";
+        // A 3-byte buffer makes every frame span several reads.
+        for capacity in [3, 64] {
+            let mut input = io::BufReader::with_capacity(capacity, &bytes[..]);
+            let mut next = || read_frame(&mut input, 8).expect("a slice reads");
+            assert!(
+                matches!(next(), Some(Err(ServeError::MalformedFrame { .. }))),
+                "not UTF-8"
+            );
+            assert_eq!(next(), Some(Ok("first".to_owned())));
+            assert_eq!(
+                next(),
+                Some(Err(ServeError::FrameTooLarge { bytes: 12, cap: 8 }))
+            );
+            assert_eq!(next(), Some(Ok("second".to_owned())));
+            assert_eq!(next(), Some(Ok(String::new())));
+            assert_eq!(next(), Some(Ok("last".to_owned())), "unterminated tail");
+            assert_eq!(next(), None);
+        }
     }
 }

@@ -42,7 +42,7 @@ use crate::protocol::{
     effort_value, error_response, ok_response, parse_request, report_value, EcoEffort, FrameLimits,
     Request, ServeError,
 };
-use crate::workspace::{SessionWorkspace, WorkspaceStats};
+use crate::workspace::{cone_keys, SessionWorkspace, WorkspaceStats};
 
 /// Session-level knobs, all settable from the `tbf serve` CLI.
 #[derive(Clone, Debug)]
@@ -227,12 +227,18 @@ impl Session {
         // establishes (or re-bases) the named ECO session; an `eco`
         // request must hit an existing one.
         // Either way the warm result cache is bypassed below — session
-        // reuse happens at cone granularity in the workspace.
+        // reuse happens at cone granularity in the workspace. The
+        // request's cone keys are computed here, once: an analyze request
+        // makes them the session base, an eco request diffs them against
+        // it and commits them once answered.
+        let mut eco_keys = None;
         if let Some(name) = request.session.clone() {
+            let keys = cone_keys(&request.netlist);
             let routed = if request.eco {
+                eco_keys = Some(keys);
                 self.workspace.route_eco(&name)
             } else {
-                self.workspace.establish(&name, &request.netlist);
+                self.workspace.establish(&name, keys);
                 Ok(())
             };
             if let Err(detail) = routed {
@@ -256,7 +262,7 @@ impl Session {
             }
         }
 
-        let (response, (status, attempts, error_kind)) = self.analyze_request(&request);
+        let (response, (status, attempts, error_kind)) = self.analyze_request(&request, eco_keys);
         // The row carries the counters of the `observe` around this
         // frame, if the caller opened one (the runners do, one per
         // frame, under `--emit-metrics`); the session opens none.
@@ -271,6 +277,14 @@ impl Session {
         });
         self.push_row(&request.id, status, false, attempts, error_kind, counters);
         response
+    }
+
+    /// Answers a frame a runner refused before decoding it (over the
+    /// byte cap, or not UTF-8): it is counted and recorded like any
+    /// other refused frame.
+    pub(crate) fn refuse_frame(&mut self, err: ServeError) -> String {
+        self.metrics.frames += 1;
+        self.refuse(None, err)
     }
 
     /// Admission control: reject up front rather than queue unboundedly.
@@ -306,11 +320,16 @@ impl Session {
     }
 
     /// The analysis path: bounded retry around the degradation ladder,
-    /// per-request panic quarantine, warm-cache fill.
+    /// per-request panic quarantine, warm-cache fill. `eco_keys` are the
+    /// cone keys of an eco request's netlist.
     ///
     /// Returns the response line plus `(status, attempts, error_kind)`
     /// for the artifact row.
-    fn analyze_request(&mut self, request: &Request) -> RequestOutcome {
+    fn analyze_request(
+        &mut self,
+        request: &Request,
+        mut eco_keys: Option<Vec<Vec<u8>>>,
+    ) -> RequestOutcome {
         let policy = AnalysisPolicy {
             options: request.options.clone(),
             threads: self.config.threads,
@@ -318,8 +337,8 @@ impl Session {
         // The explicit cone-granular diff against the session base, for
         // the effort telemetry. Computed before the base is
         // re-committed, so it describes what this edit changed.
-        let eco_changed = match (&request.session, request.eco) {
-            (Some(name), true) => self.workspace.changed_cones(name, &request.netlist),
+        let eco_changed = match (&request.session, &eco_keys) {
+            (Some(name), Some(keys)) => self.workspace.changed_cones(name, keys),
             _ => None,
         };
         let mut attempts: u64 = 0;
@@ -386,8 +405,12 @@ impl Session {
                     }
                     let eco_effort = request.session.as_deref().map(|name| {
                         // The answered netlist becomes the base the next
-                        // eco request diffs against.
-                        self.workspace.commit(name, &request.netlist);
+                        // eco request diffs against (an analyze request
+                        // made it the base when it established the
+                        // session).
+                        if let Some(keys) = eco_keys.take() {
+                            self.workspace.commit(name, keys);
+                        }
                         self.workspace.record(eco);
                         EcoEffort {
                             reused: eco.reused as u64,
@@ -601,8 +624,13 @@ fn run_attempt(
     first_attempt: bool,
     eco: Option<(&mut ConeStore, bool)>,
 ) -> AttemptOutcome {
+    let plan = if first_attempt {
+        tbf_core::fault::snapshot()
+    } else {
+        tbf_core::fault::FaultPlan::new()
+    };
     let run = move || {
-        with_attempt_plan(first_attempt, move || match eco {
+        tbf_core::fault::with_plan(plan, move || match eco {
             None => (
                 tbf_core::analyze_with_budget(netlist, policy, budget),
                 EcoStats::default(),
@@ -623,21 +651,6 @@ fn run_attempt(
             AttemptOutcome::Panicked(detail)
         }
     }
-}
-
-#[cfg(feature = "fault-injection")]
-fn with_attempt_plan<R>(first_attempt: bool, f: impl FnOnce() -> R) -> R {
-    let plan = if first_attempt {
-        tbf_core::fault::snapshot()
-    } else {
-        tbf_core::fault::FaultPlan::new()
-    };
-    tbf_core::fault::with_plan(plan, f)
-}
-
-#[cfg(not(feature = "fault-injection"))]
-fn with_attempt_plan<R>(_first_attempt: bool, f: impl FnOnce() -> R) -> R {
-    f()
 }
 
 #[cfg(test)]

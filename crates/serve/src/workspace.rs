@@ -4,10 +4,10 @@
 //! A plain `tbf serve` request keeps nothing at cone granularity — its
 //! per-cone results die with the response. An **ECO session** keeps
 //! the exact ones alive: an analyze request carrying `"session":"NAME"`
-//! establishes (or re-bases) the named session, snapshotting the
-//! request's netlist as the session *base* and retaining every
-//! exactly-solved cone in a [`ConeStore`] keyed by cone slice
-//! signature ([`Netlist::cone_signature`]). A follow-up
+//! establishes (or re-bases) the named session, keeping the cone keys
+//! of the request's netlist ([`cone_keys`]) as the session *base* and
+//! retaining every exactly-solved cone in a [`ConeStore`] keyed by cone
+//! slice signature ([`Netlist::cone_signature`]). A follow-up
 //! `"kind":"eco"` request against the same name is then answered
 //! incrementally: the incoming netlist is diffed against the base at
 //! cone granularity, only the cones whose slice signature changed are
@@ -43,22 +43,25 @@ use tbf_logic::Netlist;
 /// the per-session [`ConeStore`] evicts LRU beyond it.
 pub const ECO_STORE_CAPACITY: usize = 256;
 
-/// One named incremental session: the base netlist the next `eco`
-/// request diffs against and the retained exact cone results.
+/// The retention keys of `netlist`'s output cones, in output order:
+/// [`Netlist::cone_signature`] of each.
+#[must_use]
+pub fn cone_keys(netlist: &Netlist) -> Vec<Vec<u8>> {
+    (0..netlist.outputs().len())
+        .map(|i| netlist.cone_signature(i))
+        .collect()
+}
+
+/// One named incremental session: the base the next `eco` request
+/// diffs against and the retained exact cone results.
 pub struct EcoSession {
-    base: Netlist,
+    /// The cone keys of the last successfully analyzed netlist.
+    base: Vec<Vec<u8>>,
     store: ConeStore,
     touched: u64,
 }
 
 impl EcoSession {
-    /// The netlist the next `eco` request is diffed against (the last
-    /// successfully analyzed one).
-    #[must_use]
-    pub fn base(&self) -> &Netlist {
-        &self.base
-    }
-
     /// The retained cone store, for the incremental analysis call.
     pub fn store_mut(&mut self) -> &mut ConeStore {
         &mut self.store
@@ -114,14 +117,15 @@ impl SessionWorkspace {
     }
 
     /// Establishes (or refreshes) the named session for an analyze
-    /// request: the request's netlist becomes the base. A re-base keeps
-    /// the retained store, so unchanged cones stay warm across it.
-    pub fn establish(&mut self, name: &str, base: &Netlist) {
+    /// request: the cone keys of the request's netlist become the base.
+    /// A re-base keeps the retained store, so unchanged cones stay warm
+    /// across it.
+    pub fn establish(&mut self, name: &str, base: Vec<Vec<u8>>) {
         self.epoch += 1;
         let epoch = self.epoch;
         match self.sessions.get_mut(name) {
             Some(sess) => {
-                sess.base = base.clone();
+                sess.base = base;
                 sess.touched = epoch;
             }
             None => {
@@ -129,7 +133,7 @@ impl SessionWorkspace {
                 self.sessions.insert(
                     name.to_owned(),
                     EcoSession {
-                        base: base.clone(),
+                        base,
                         store: ConeStore::new(ECO_STORE_CAPACITY),
                         touched: epoch,
                     },
@@ -162,27 +166,24 @@ impl SessionWorkspace {
         self.sessions.get_mut(name)
     }
 
-    /// The cone-granular diff of `edited` against the session's base:
-    /// how many of `edited`'s output cones have no signature-identical
-    /// counterpart among the base's. This is what the incremental path
-    /// will recompute (modulo same-request duplicate cones).
+    /// The cone-granular diff of an edited netlist, given by its
+    /// [`cone_keys`], against the session's base: how many of its output
+    /// cones have no key-identical counterpart among the base's. This is
+    /// what the incremental path will recompute (modulo same-request
+    /// duplicate cones).
     #[must_use]
-    pub fn changed_cones(&self, name: &str, edited: &Netlist) -> Option<u64> {
+    pub fn changed_cones(&self, name: &str, edited: &[Vec<u8>]) -> Option<u64> {
         let sess = self.sessions.get(name)?;
-        let base_sigs: Vec<Vec<u8>> = (0..sess.base.outputs().len())
-            .map(|i| sess.base.cone_signature(i))
-            .collect();
-        let changed = (0..edited.outputs().len())
-            .filter(|&i| !base_sigs.contains(&edited.cone_signature(i)))
-            .count();
+        let changed = edited.iter().filter(|k| !sess.base.contains(k)).count();
         Some(changed as u64)
     }
 
-    /// Commits a successful request's netlist as the session's new
-    /// base, so the next `eco` diffs against what was last answered.
-    pub fn commit(&mut self, name: &str, netlist: &Netlist) {
+    /// Commits the cone keys of a successful request's netlist as the
+    /// session's new base, so the next `eco` diffs against what was last
+    /// answered.
+    pub fn commit(&mut self, name: &str, keys: Vec<Vec<u8>>) {
         if let Some(sess) = self.sessions.get_mut(name) {
-            sess.base = netlist.clone();
+            sess.base = keys;
         }
     }
 
@@ -238,7 +239,7 @@ mod tests {
     fn eco_requires_an_established_session() {
         let mut ws = SessionWorkspace::new(4);
         assert!(ws.route_eco("s").is_err(), "unknown session");
-        ws.establish("s", &net(TWO));
+        ws.establish("s", cone_keys(&net(TWO)));
         assert!(ws.route_eco("s").is_ok());
         assert_eq!(ws.stats.sessions_created, 1);
     }
@@ -246,18 +247,18 @@ mod tests {
     #[test]
     fn changed_cones_counts_only_edited_slices() {
         let mut ws = SessionWorkspace::new(4);
-        ws.establish("s", &net(TWO));
-        assert_eq!(ws.changed_cones("s", &net(TWO)), Some(0));
-        assert_eq!(ws.changed_cones("s", &net(TWO_EDIT)), Some(1));
+        ws.establish("s", cone_keys(&net(TWO)));
+        assert_eq!(ws.changed_cones("s", &cone_keys(&net(TWO))), Some(0));
+        assert_eq!(ws.changed_cones("s", &cone_keys(&net(TWO_EDIT))), Some(1));
     }
 
     #[test]
     fn capacity_evicts_the_stalest_session() {
         let mut ws = SessionWorkspace::new(2);
-        ws.establish("a", &net(TWO));
-        ws.establish("b", &net(TWO));
-        ws.establish("a", &net(TWO)); // refresh a
-        ws.establish("c", &net(TWO)); // evicts b
+        ws.establish("a", cone_keys(&net(TWO)));
+        ws.establish("b", cone_keys(&net(TWO)));
+        ws.establish("a", cone_keys(&net(TWO))); // refresh a
+        ws.establish("c", cone_keys(&net(TWO))); // evicts b
         assert_eq!(ws.len(), 2);
         assert!(ws.session_mut("b").is_none());
         assert!(ws.session_mut("a").is_some());

@@ -1,5 +1,4 @@
-//! Deterministic fault injection on the serve request path (requires
-//! the `fault-injection` feature).
+//! Deterministic fault injection on the serve request path.
 //!
 //! The same harness that walks the engine's degradation ladder
 //! (`crates/core/tests/fault_ladder.rs`) drives the service loop here:
@@ -7,8 +6,6 @@
 //! poison — plus the engine's cone-panic site is armed in turn, and the
 //! session must isolate the fault to one request, quarantine only that
 //! request's warm state, and keep answering.
-
-#![cfg(feature = "fault-injection")]
 
 use tbf_core::fault::{with_plan, FaultPlan, Site};
 use tbf_obs::json::Value;

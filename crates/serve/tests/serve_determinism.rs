@@ -11,6 +11,7 @@
 //!   mid-batch and a fresh session re-answers the remaining requests —
 //!   a restart loses the warm cache, never the answers.
 
+use tbf_core::fault::{with_plan, FaultPlan, Site};
 use tbf_obs::json::Value;
 use tbf_serve::protocol::{deterministic_view, validate_response};
 use tbf_serve::session::{ServeConfig, Session};
@@ -124,11 +125,8 @@ fn kill_mid_batch_and_restart_reanswers_identically() {
 /// unrecoverable sites — `RequestCancel` on a live request — are
 /// exercised in `fault_path.rs`; they change results in *typed*,
 /// documented ways and so stay out of a byte-equality suite.)
-#[cfg(feature = "fault-injection")]
 #[test]
 fn seeded_faults_leave_results_identical() {
-    use tbf_core::fault::{with_plan, FaultPlan, Site};
-
     let run = |plan: FaultPlan| -> Vec<Value> {
         let mut session = Session::new(ServeConfig::default());
         with_plan(plan, || {

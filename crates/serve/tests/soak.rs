@@ -1,6 +1,5 @@
 //! Session soak: hundreds of mixed good/bad/deadline-limited requests
-//! through one warm session, with seeded fault injection when the
-//! `fault-injection` feature is on.
+//! through one warm session, with a seeded fault schedule armed.
 //!
 //! Seeds come from a fixed table; set `RANDOM_SEED=<u64>` (decimal or
 //! `0x`-hex) to add a seed — the same harness contract as the engine's
@@ -12,6 +11,7 @@
 //! response is schema-valid, exactly one response per frame, and the
 //! warm cache reports hits after the first repeated circuit.
 
+use tbf_core::fault::{with_plan, FaultPlan, Site};
 use tbf_obs::json::Value;
 use tbf_serve::protocol::validate_response;
 use tbf_serve::runner::run_lines;
@@ -97,14 +97,6 @@ fn run_soak(seed: u64, frames: usize) -> (Vec<String>, Session) {
     let batch: Vec<String> = (0..frames).map(|i| frame(&mut rng, i)).collect();
     let mut session = Session::new(soak_config());
     let mut out = Vec::new();
-    run_soak_inner(&mut session, &batch, &mut out);
-    let text = String::from_utf8(out).expect("responses are UTF-8");
-    (text.lines().map(str::to_owned).collect(), session)
-}
-
-#[cfg(feature = "fault-injection")]
-fn run_soak_inner(session: &mut Session, batch: &[String], out: &mut Vec<u8>) {
-    use tbf_core::fault::{FaultPlan, Site};
     // A hostile-but-recoverable fault schedule: repeated cone panics,
     // frame-decode trips, cache poisons, and one mid-request cancel,
     // spread across the batch.
@@ -116,14 +108,11 @@ fn run_soak_inner(session: &mut Session, batch: &[String], out: &mut Vec<u8>) {
             .once_at(Site::CachePoison, k * 13);
     }
     plan = plan.once_at(Site::RequestCancel, 3);
-    tbf_core::fault::with_plan(plan, || {
-        run_lines(session, batch, out).expect("writes to a Vec cannot fail");
+    with_plan(plan, || {
+        run_lines(&mut session, &batch, &mut out).expect("writes to a Vec cannot fail");
     });
-}
-
-#[cfg(not(feature = "fault-injection"))]
-fn run_soak_inner(session: &mut Session, batch: &[String], out: &mut Vec<u8>) {
-    run_lines(session, batch, out).expect("writes to a Vec cannot fail");
+    let text = String::from_utf8(out).expect("responses are UTF-8");
+    (text.lines().map(str::to_owned).collect(), session)
 }
 
 #[test]

@@ -105,10 +105,8 @@ fn witness_survives_the_driver_path() {
     assert_eq!(w.after.len(), w.before.len());
 }
 
-/// Forced-fault acceptance (the `fault-injection` feature forwards to
-/// `tbf-core`): under every injected failure the driver still returns,
-/// with bounds containing the fault-free exact delay.
-#[cfg(feature = "fault-injection")]
+/// Forced-fault acceptance: under every injected failure the driver
+/// still returns, with bounds containing the fault-free exact delay.
 mod forced_faults {
     use super::*;
     use tbf_suite::core::fault::{with_plan, FaultPlan, Site};
