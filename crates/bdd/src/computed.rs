@@ -11,12 +11,12 @@
 //! recomputation, never a wrong answer, because canonicity lives in the
 //! unique table.
 //!
-//! Nothing in the engine flushes the table. Its length is a power of two
-//! that follows the arena: it doubles whenever the arena outgrows it,
-//! from [`MIN_ENTRIES`] up to [`MAX_ENTRIES`], and keeps every entry,
-//! since distinct slots stay distinct under more index bits. A GC sweep
-//! drops exactly the entries that touch a freed slot, since a reused
-//! slot may hold a different function.
+//! Only a GC sweep empties the table, since a reused arena slot may hold
+//! a different function; nothing else in the engine flushes it. Its
+//! length is a power of two that follows the arena: it doubles whenever
+//! the arena outgrows it, from [`MIN_ENTRIES`] up to [`MAX_ENTRIES`], and
+//! keeps every entry, since distinct slots stay distinct under more index
+//! bits.
 
 use crate::node::{Bdd, Var};
 
@@ -148,24 +148,6 @@ impl ComputedTable {
     /// Empties every slot.
     pub(crate) fn clear(&mut self) {
         self.entries.fill(Entry::default());
-    }
-
-    /// Keeps exactly the entries whose operand handles and result are
-    /// all `live` (GC purge).
-    pub(crate) fn retain(&mut self, live: impl Fn(Bdd) -> bool) {
-        for e in &mut self.entries {
-            let [a, b, c] = e.key;
-            if a == 0 {
-                continue;
-            }
-            // A second word with bit 0 set is a tagged variable, not a
-            // handle; the quantifier's third word is `TRUE`, always live.
-            let keep =
-                live(Bdd(a)) && (b & 1 == 1 || live(Bdd(b))) && live(Bdd(c)) && live(Bdd(e.result));
-            if !keep {
-                *e = Entry::default();
-            }
-        }
     }
 
     /// Number of slots.

@@ -18,10 +18,11 @@
 //!   a node are rebuilt: each is sized once for its survivors (the
 //!   capacity insertion would reach) and refilled with them; every other
 //!   subtable already holds exactly its survivors and is left as it is.
-//!   The computed table drops every entry touching a dead node (a freed
-//!   slot may be reused by a different function) and keeps the
-//!   all-survivor rest — coherent because canonicity lives in the unique
-//!   table, not the memo.
+//!   The computed table is cleared: an entry touching a freed slot could
+//!   answer for a different function once the slot is reused, and one
+//!   `fill` costs far less than testing every slot's four handles for
+//!   liveness. Canonicity lives in the unique table, not the memo, so a
+//!   lost entry costs a recomputation, never a wrong answer.
 //! * **Determinism.** Whether a sweep fires depends only on the policy
 //!   and the arena population — logical quantities identical at every
 //!   thread count — and slot reuse order is fixed (ascending), so GC
@@ -142,9 +143,7 @@ impl BddManager {
     ///
     /// Freed slots are reused by later `mk` calls (lowest index first);
     /// the unique subtables of variables that lost a node are rebuilt to
-    /// exactly their survivors, and the computed table is purged of
-    /// entries touching dead nodes (all-survivor entries keep their
-    /// memoized work).
+    /// exactly their survivors, and the computed table is emptied.
     /// Handles to surviving nodes — including complemented ones — remain
     /// valid and canonical; handles to freed nodes must not be used
     /// again.
@@ -216,14 +215,12 @@ impl BddManager {
                 self.unique.insert(var, i as u32, &self.nodes);
             }
         }
-        // Computed table: entries whose operands and result all survived
-        // stay correct (handles are stable and functions unchanged), and
-        // keeping them preserves memoized work across the sweep. Any
-        // entry touching a freed slot must go — the slot can be reused
-        // by a *different* function, turning a stale hit into a wrong
-        // answer. Which entries survive is a deterministic set, so
-        // results stay canonical either way.
-        self.computed.retain(|b| mark[b.index()]);
+        // Computed table: an entry touching a freed slot must go — the
+        // slot can be reused by a *different* function, turning a stale
+        // hit into a wrong answer. Emptying the whole table is one
+        // memset, far cheaper than testing four handles in each of up
+        // to 2²⁰ slots for liveness.
+        self.computed.clear();
         self.gc_stats.sweeps += 1;
         self.gc_stats.reclaimed += reclaimed as u64;
         self.bump_gc_sweep(reclaimed as u64);
@@ -414,7 +411,7 @@ mod tests {
         let r = m.ite(f, g, h);
         assert_eq!(m.computed.get(key), Some(r));
         m.collect_garbage(&roots);
-        assert_eq!(m.computed.get(key), None, "the entry touches freed slots");
+        assert_eq!(m.computed.get(key), None, "the sweep emptied the table");
         // `mk` refills those slots, lowest first, with different
         // functions under the very same handles.
         let f2 = m.and(vx, vz);

@@ -1,6 +1,7 @@
 //! The BDD manager: node arena, per-variable unique subtables, free
 //! list, and variable registry.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use tbf_obs::Metric;
@@ -18,7 +19,7 @@ use crate::unique::UniqueTables;
 ///
 /// Results are memoized in one computed table shared by every operation
 /// (see `computed.rs`): direct-mapped and lossy, sized with the arena and
-/// capped, and kept across queries.
+/// capped, kept across queries and cleared by each GC sweep.
 ///
 /// Edges carry complement tags: any edge may be complemented, negation
 /// is a constant-time tag flip, and a function shares every node with
@@ -74,7 +75,8 @@ pub struct BddManager {
     /// slots, so it measures what GC saves.
     pub(crate) peak_arena: usize,
     pub(crate) computed: ComputedTable,
-    var_names: Vec<String>,
+    /// One entry per variable: the debugging name, if one was given.
+    var_names: Vec<Option<Box<str>>>,
     /// Shared effort-counter registry (see [`crate::obs`]); `None` until
     /// [`set_counters`](Self::set_counters) installs one.
     pub(crate) counters: Option<std::sync::Arc<tbf_obs::Counters>>,
@@ -105,10 +107,11 @@ impl BddManager {
         }
     }
 
-    /// Declares a fresh variable, ordered below every existing one.
+    /// Declares a fresh variable, ordered below every existing one. It
+    /// has no name; [`var_name`](Self::var_name) renders `v<N>`.
     pub fn new_var(&mut self) -> Var {
         let idx = self.var_names.len() as u32;
-        self.var_names.push(format!("v{idx}"));
+        self.var_names.push(None);
         self.unique.push_var();
         Var(idx)
     }
@@ -116,17 +119,21 @@ impl BddManager {
     /// Declares a fresh variable with a debugging name.
     pub fn new_named_var(&mut self, name: &str) -> Var {
         let v = self.new_var();
-        self.var_names[v.index()] = name.to_owned();
+        self.var_names[v.index()] = Some(name.into());
         v
     }
 
-    /// The name given to `v` at creation (or a generated `v<N>` default).
+    /// The name given to `v` at creation, or `v<N>` (its index) when it
+    /// was created unnamed.
     ///
     /// # Panics
     ///
     /// Panics if `v` was not created by this manager.
-    pub fn var_name(&self, v: Var) -> &str {
-        &self.var_names[v.index()]
+    pub fn var_name(&self, v: Var) -> Cow<'_, str> {
+        match &self.var_names[v.index()] {
+            Some(name) => Cow::Borrowed(name),
+            None => Cow::Owned(format!("v{}", v.0)),
+        }
     }
 
     /// Number of declared variables.
@@ -510,8 +517,17 @@ mod tests {
         let mut m = BddManager::new();
         let x = m.new_named_var("clk");
         let y = m.new_var();
+        let z = m.new_var();
+        let w = m.new_named_var("v1");
         assert_eq!(m.var_name(x), "clk");
+        // An unnamed variable stores nothing and renders its index.
         assert_eq!(m.var_name(y), "v1");
+        assert_eq!(m.var_name(z), "v2");
+        assert!(matches!(m.var_name(z), Cow::Owned(_)));
+        // A name is kept as given, even one that reads like an index.
+        assert_eq!(m.var_name(w), "v1");
+        assert!(matches!(m.var_name(w), Cow::Borrowed(_)));
+        assert_eq!(m.var_count(), 4);
     }
 
     #[test]

@@ -237,6 +237,83 @@ pub(crate) struct ConeContext {
     sweeps: HashMap<NodeId, BreakpointSweep>,
 }
 
+/// A freshly built manager and the handles an engine keeps into it.
+struct Layout {
+    manager: BddManager,
+    after_leaf: Vec<Bdd>,
+    before_leaf: Vec<Bdd>,
+    slot_vars: Vec<Vec<Var>>,
+    static_after: Vec<Bdd>,
+    static_before: Vec<Bdd>,
+    input_vars: Vec<Var>,
+    statics_baseline: usize,
+}
+
+impl Layout {
+    /// Creates the manager: interleaved variables, then both statics.
+    /// The variables' creation order is the order the engine runs under;
+    /// nothing reorders them afterwards. Variables are unnamed: each
+    /// input owns the consecutive block `x⁺, x⁻, s₀ … s_{slots−1}`.
+    fn build(
+        netlist: &Netlist,
+        timing: &Timing,
+        budget: &Arc<AnalysisBudget>,
+        slots: usize,
+    ) -> Result<Layout, BuildAbort> {
+        let n_inputs = netlist.inputs().len();
+        let mut manager = BddManager::new();
+        // Route the manager's hot-path counters into the analysis-wide
+        // registry carried by the budget, so BDD effort shows up in the
+        // same place whatever thread builds this engine. An unobserved
+        // run has no registry, and its manager counts nothing.
+        if let Some(c) = budget.counters() {
+            manager.set_counters(Arc::clone(c));
+        }
+        let mut after_var: Vec<Option<Var>> = vec![None; n_inputs];
+        let mut before_var: Vec<Option<Var>> = vec![None; n_inputs];
+        let mut slot_vars = vec![Vec::new(); n_inputs];
+        let mut input_vars = Vec::with_capacity(2 * n_inputs);
+        for &pos in &timing.input_order {
+            let va = manager.new_var();
+            let vb = manager.new_var();
+            input_vars.push(va);
+            input_vars.push(vb);
+            after_var[pos] = Some(va);
+            before_var[pos] = Some(vb);
+            slot_vars[pos] = (0..slots).map(|_| manager.new_var()).collect();
+        }
+        manager.set_gc_policy(GcPolicy::OnPressure {
+            trigger_nodes: GC_TRIGGER_NODES,
+        });
+        let unwrap_var = |v: &Option<Var>| v.expect("input_order is a permutation of inputs");
+        let after_leaf: Vec<Bdd> = after_var
+            .iter()
+            .map(|v| manager.var(unwrap_var(v)))
+            .collect();
+        let before_leaf: Vec<Bdd> = before_var
+            .iter()
+            .map(|v| manager.var(unwrap_var(v)))
+            .collect();
+        let bud = budget.clone();
+        let probe = move || bud.interrupted();
+        let op_budget = OpBudget::with_cancel(budget.max_bdd_nodes(), &probe);
+        let static_after = build_statics(&mut manager, netlist, &after_leaf, &op_budget)
+            .map_err(BuildAbort::from_op)?;
+        let static_before = build_statics(&mut manager, netlist, &before_leaf, &op_budget)
+            .map_err(BuildAbort::from_op)?;
+        Ok(Layout {
+            statics_baseline: manager.node_count(),
+            manager,
+            after_leaf,
+            before_leaf,
+            slot_vars,
+            static_after,
+            static_before,
+            input_vars,
+        })
+    }
+}
+
 impl ConeContext {
     pub fn new(
         netlist: Arc<Netlist>,
@@ -245,19 +322,22 @@ impl ConeContext {
         let memo_useful = netlist.nodes().any(|(_, n)| {
             !n.kind().is_input() && !n.kind().is_constant() && !n.delay().is_variable()
         });
-        let mut engine = ConeContext {
-            timing: Timing::new(&netlist),
+        let timing = Timing::new(&netlist);
+        let slots = 4;
+        let lay = Layout::build(&netlist, &timing, &budget, slots)?;
+        Ok(ConeContext {
+            timing,
             netlist,
             budget,
-            slots: 4,
-            manager: BddManager::new(),
-            after_leaf: Vec::new(),
-            before_leaf: Vec::new(),
-            slot_vars: Vec::new(),
-            static_after: Vec::new(),
-            static_before: Vec::new(),
-            input_vars: Vec::new(),
-            statics_baseline: 0,
+            slots,
+            manager: lay.manager,
+            after_leaf: lay.after_leaf,
+            before_leaf: lay.before_leaf,
+            slot_vars: lay.slot_vars,
+            static_after: lay.static_after,
+            static_before: lay.static_before,
+            input_vars: lay.input_vars,
+            statics_baseline: lay.statics_baseline,
             carried_gc: GcStats::default(),
             carried_peak_arena: 0,
             carried_arena_bytes: 0,
@@ -265,9 +345,7 @@ impl ConeContext {
             table: TimedTable::default(),
             memo: HashMap::new(),
             sweeps: HashMap::new(),
-        };
-        engine.layout()?;
-        Ok(engine)
+        })
     }
 
     /// Shared ownership of the cone netlist, so a query can read it
@@ -287,72 +365,24 @@ impl ConeContext {
             .next_below(&netlist, below)
     }
 
-    /// (Re)creates the manager: interleaved variables, then both statics.
-    /// The variables' creation order is the order the engine runs under;
-    /// nothing reorders them afterwards. GC telemetry of the manager being
-    /// replaced is carried over so rebuilds never lose effort accounting.
+    /// Replaces the manager with a fresh [`Layout`]. GC telemetry of the
+    /// manager being replaced is carried over so rebuilds never lose
+    /// effort accounting.
     fn layout(&mut self) -> Result<(), BuildAbort> {
         let gc = self.manager.gc_stats();
         self.carried_gc.sweeps += gc.sweeps;
         self.carried_gc.reclaimed += gc.reclaimed;
         self.carried_peak_arena = self.carried_peak_arena.max(self.manager.peak_arena());
         self.carried_arena_bytes = self.carried_arena_bytes.max(self.manager.arena_bytes());
-        let n_inputs = self.netlist.inputs().len();
-        let mut manager = BddManager::new();
-        // Route the manager's hot-path counters into the analysis-wide
-        // registry carried by the budget, so BDD effort shows up in the
-        // same place whatever thread builds this engine. An unobserved
-        // run has no registry, and its manager counts nothing.
-        if let Some(c) = self.budget.counters() {
-            manager.set_counters(Arc::clone(c));
-        }
-        let mut after_var: Vec<Option<Var>> = vec![None; n_inputs];
-        let mut before_var: Vec<Option<Var>> = vec![None; n_inputs];
-        let mut slot_vars = vec![Vec::new(); n_inputs];
-        let mut input_vars = Vec::with_capacity(2 * n_inputs);
-        for &pos in &self.timing.input_order {
-            let name = self
-                .netlist
-                .node(self.netlist.inputs()[pos])
-                .name()
-                .to_owned();
-            let va = manager.new_named_var(&format!("{name}+"));
-            let vb = manager.new_named_var(&format!("{name}-"));
-            input_vars.push(va);
-            input_vars.push(vb);
-            after_var[pos] = Some(va);
-            before_var[pos] = Some(vb);
-            slot_vars[pos] = (0..self.slots)
-                .map(|j| manager.new_named_var(&format!("s_{name}_{j}")))
-                .collect();
-        }
-        manager.set_gc_policy(GcPolicy::OnPressure {
-            trigger_nodes: GC_TRIGGER_NODES,
-        });
-        let unwrap_var = |v: &Option<Var>| v.expect("input_order is a permutation of inputs");
-        let after_leaf: Vec<Bdd> = after_var
-            .iter()
-            .map(|v| manager.var(unwrap_var(v)))
-            .collect();
-        let before_leaf: Vec<Bdd> = before_var
-            .iter()
-            .map(|v| manager.var(unwrap_var(v)))
-            .collect();
-        let bud = self.budget.clone();
-        let probe = move || bud.interrupted();
-        let op_budget = OpBudget::with_cancel(self.budget.max_bdd_nodes(), &probe);
-        let static_after = build_statics(&mut manager, &self.netlist, &after_leaf, &op_budget)
-            .map_err(BuildAbort::from_op)?;
-        let static_before = build_statics(&mut manager, &self.netlist, &before_leaf, &op_budget)
-            .map_err(BuildAbort::from_op)?;
-        self.statics_baseline = manager.node_count();
-        self.manager = manager;
-        self.after_leaf = after_leaf;
-        self.before_leaf = before_leaf;
-        self.slot_vars = slot_vars;
-        self.static_after = static_after;
-        self.static_before = static_before;
-        self.input_vars = input_vars;
+        let lay = Layout::build(&self.netlist, &self.timing, &self.budget, self.slots)?;
+        self.manager = lay.manager;
+        self.after_leaf = lay.after_leaf;
+        self.before_leaf = lay.before_leaf;
+        self.slot_vars = lay.slot_vars;
+        self.static_after = lay.static_after;
+        self.static_before = lay.static_before;
+        self.input_vars = lay.input_vars;
+        self.statics_baseline = lay.statics_baseline;
         Ok(())
     }
 
@@ -1036,17 +1066,27 @@ mod tests {
         let out = n.find("g2").unwrap();
         let mut e = engine(&n);
         let q = e.two_vector_query(out, t(4)).expect("small circuit");
-        for r in &q.resolvents {
-            let name = e.manager.var_name(r.var).to_owned();
-            assert!(name.starts_with("s_"), "{name}");
-        }
-        // Layout: (a+, a-, 4 slots, b+, b-, 4 slots) = 12 variables.
+        // Layout: (a+, a-, 4 slots, b+, b-, 4 slots) = 12 variables, one
+        // consecutive block per input in the input order.
         assert_eq!(e.manager.var_count(), 12);
+        let width = 2 + e.slots;
+        for (k, &pos) in e.timing.input_order.iter().enumerate() {
+            let mut got = vec![e.input_vars[2 * k].index(), e.input_vars[2 * k + 1].index()];
+            got.extend(e.slot_vars[pos].iter().map(|v| v.index()));
+            let block: Vec<usize> = (k * width..(k + 1) * width).collect();
+            assert_eq!(got, block, "block {k}: x+, x-, then the slots");
+        }
+        // Every resolvent is a slot variable of its input.
+        let slot_owner = |v: Var| e.slot_vars.iter().position(|s| s.contains(&v));
+        for r in &q.resolvents {
+            assert!(slot_owner(r.var).is_some(), "{} is no slot", r.var.index());
+        }
         // The a-resolvent must be ordered before b's input variables.
+        let a = n.inputs().iter().position(|&i| n.node(i).name() == "a");
         let a_res = q
             .resolvents
             .iter()
-            .find(|r| e.manager.var_name(r.var).starts_with("s_a"))
+            .find(|r| slot_owner(r.var) == a)
             .expect("a has a resolvent");
         let b_plus = e.input_vars[2]; // b+ is third created
         assert!(a_res.var < b_plus, "a's resolvent should precede b+");

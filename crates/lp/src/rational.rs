@@ -9,7 +9,10 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// Used as the scalar field of the exact simplex so that pivoting is free
 /// of floating-point drift. Delay values in this workspace are `i64`
 /// fixed-point, far below the `i128` headroom; intermediate products are
-/// reduced by GCD after every operation.
+/// reduced by GCD after every operation. A zero operand and two integer
+/// operands take exact fast paths with no GCD: the path LPs' 0/±1
+/// tableaux mostly stay on them. The representation is canonical, so a
+/// fast path returns the very value the general path would.
 ///
 /// # Panics
 ///
@@ -33,6 +36,8 @@ pub struct Rat {
     num: i128,
     den: i128,
 }
+
+const OVERFLOW: &str = "rational arithmetic overflow (i128)";
 
 fn gcd(mut a: i128, mut b: i128) -> i128 {
     a = a.abs();
@@ -111,7 +116,16 @@ impl Rat {
     /// Panics if `self` is zero.
     pub fn recip(self) -> Rat {
         assert!(self.num != 0, "reciprocal of zero");
-        Rat::new(self.den, self.num)
+        // Lowest terms stay lowest terms; only the sign moves.
+        let sign = self.num.signum();
+        Rat {
+            num: sign * self.den,
+            den: sign * self.num,
+        }
+    }
+
+    fn is_int(self) -> bool {
+        self.den == 1
     }
 
     /// Nearest `f64` (for reporting only; never used in pivoting).
@@ -134,8 +148,7 @@ impl Rat {
         b: Rat,
         f: impl Fn(i128, i128, i128, i128) -> Option<(i128, i128)>,
     ) -> Rat {
-        let (num, den) =
-            f(a.num, a.den, b.num, b.den).expect("rational arithmetic overflow (i128)");
+        let (num, den) = f(a.num, a.den, b.num, b.den).expect(OVERFLOW);
         Rat::new(num, den)
     }
 }
@@ -143,6 +156,15 @@ impl Rat {
 impl Add for Rat {
     type Output = Rat;
     fn add(self, rhs: Rat) -> Rat {
+        if self.is_zero() {
+            return rhs;
+        }
+        if rhs.is_zero() {
+            return self;
+        }
+        if self.is_int() && rhs.is_int() {
+            return Rat::from_int(self.num.checked_add(rhs.num).expect(OVERFLOW));
+        }
         Rat::checked_bin(self, rhs, |an, ad, bn, bd| {
             let num = an.checked_mul(bd)?.checked_add(bn.checked_mul(ad)?)?;
             let den = ad.checked_mul(bd)?;
@@ -161,6 +183,12 @@ impl Sub for Rat {
 impl Mul for Rat {
     type Output = Rat;
     fn mul(self, rhs: Rat) -> Rat {
+        if self.is_zero() || rhs.is_zero() {
+            return Rat::ZERO;
+        }
+        if self.is_int() && rhs.is_int() {
+            return Rat::from_int(self.num.checked_mul(rhs.num).expect(OVERFLOW));
+        }
         // Cross-reduce first to keep magnitudes small.
         let g1 = gcd(self.num, rhs.den).max(1);
         let g2 = gcd(rhs.num, self.den).max(1);
@@ -216,6 +244,9 @@ impl PartialOrd for Rat {
 
 impl Ord for Rat {
     fn cmp(&self, other: &Rat) -> Ordering {
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
         // den > 0 on both sides, so cross-multiplication preserves order.
         let lhs = self
             .num

@@ -49,25 +49,14 @@ impl<F: LpField> Tableau<F> {
         for x in self.rows[r].iter_mut() {
             *x = *x * inv;
         }
-        let pivot_row = self.rows[r].clone();
+        let pivot_row = std::mem::take(&mut self.rows[r]);
         for (i, row) in self.rows.iter_mut().enumerate() {
-            if i == r {
-                continue;
-            }
-            let factor = row[c];
-            if factor.is_zero() {
-                continue;
-            }
-            for (x, &p) in row.iter_mut().zip(&pivot_row) {
-                *x = *x - factor * p;
+            if i != r {
+                eliminate(row, &pivot_row, c);
             }
         }
-        let factor = self.cost[c];
-        if !factor.is_zero() {
-            for (x, &p) in self.cost.iter_mut().zip(&pivot_row) {
-                *x = *x - factor * p;
-            }
-        }
+        eliminate(&mut self.cost, &pivot_row, c);
+        self.rows[r] = pivot_row;
         self.basis[r] = c;
     }
 
@@ -102,6 +91,22 @@ impl<F: LpField> Tableau<F> {
                 Some((r, _)) => self.pivot(r, c),
                 None => return false, // unbounded
             }
+        }
+    }
+}
+
+/// Subtracts `row[c]` times the (normalized) pivot row from `row`. Pivot
+/// entries that are exactly zero change nothing and are skipped; the test
+/// is `==`, not the field's tolerant `is_zero`, so the `f64` tableau takes
+/// the same values it would without the skip (a zero's sign aside).
+fn eliminate<F: LpField>(row: &mut [F], pivot_row: &[F], c: usize) {
+    let factor = row[c];
+    if factor.is_zero() {
+        return;
+    }
+    for (x, &p) in row.iter_mut().zip(pivot_row) {
+        if p != F::zero() {
+            *x = *x - factor * p;
         }
     }
 }
@@ -338,16 +343,8 @@ pub fn solve<F: LpField>(problem: &LpProblem<F>) -> LpOutcome<F> {
     }
     // Price out the current basis.
     tab.cost = cost;
-    for i in 0..m {
-        let b = tab.basis[i];
-        let factor = tab.cost[b];
-        if factor.is_zero() {
-            continue;
-        }
-        let row = tab.rows[i].clone();
-        for (x, &p) in tab.cost.iter_mut().zip(&row) {
-            *x = *x - factor * p;
-        }
+    for (row, &b) in tab.rows.iter().zip(&tab.basis) {
+        eliminate(&mut tab.cost, row, b);
     }
     if !tab.optimize() {
         return LpOutcome::Unbounded;

@@ -228,3 +228,113 @@ fn optimal_solutions_are_feasible() {
         }
     }
 }
+
+/// A random operand: zero, a small or wide integer of either sign, or a
+/// fraction with a small denominator.
+fn gen_rat(rng: &mut Rng) -> Rat {
+    let num = rng.in_range(-60, 61) as i128;
+    match rng.below(4) {
+        0 => Rat::ZERO,
+        1 => Rat::from_int(num),
+        2 => Rat::from_int(num * 1_000_000_007),
+        _ => Rat::new(num, rng.in_range(1, 40) as i128),
+    }
+}
+
+#[test]
+fn rat_arithmetic_agrees_with_the_general_gcd_path() {
+    // The reference reduces every cross-multiplied result with
+    // `Rat::new`, so it never takes a zero or integer shortcut.
+    let mut rng = Rng(0x05EE_D0A7);
+    for _ in 0..4096 {
+        let (a, b) = (gen_rat(&mut rng), gen_rat(&mut rng));
+        let (an, ad, bn, bd) = (a.numer(), a.denom(), b.numer(), b.denom());
+        assert_eq!(a + b, Rat::new(an * bd + bn * ad, ad * bd), "{a} + {b}");
+        assert_eq!(a - b, Rat::new(an * bd - bn * ad, ad * bd), "{a} - {b}");
+        assert_eq!(a * b, Rat::new(an * bn, ad * bd), "{a} * {b}");
+        if !b.is_zero() {
+            assert_eq!(a / b, Rat::new(an * bd, ad * bn), "{a} / {b}");
+            assert_eq!(b.recip(), Rat::new(bd, bn), "1 / {b}");
+        }
+        assert_eq!(a.cmp(&b), (an * bd).cmp(&(bn * ad)), "{a} vs {b}");
+        assert_eq!(a == b, an * bd == bn * ad, "{a} == {b}");
+        for r in [a + b, a - b, a * b] {
+            assert!(r.denom() > 0, "{r} has a non-positive denominator");
+        }
+    }
+}
+
+/// FNV-1a over the little-endian bytes of a stream of words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, x: i64) {
+        for byte in x.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// A path LP shaped like the delay engine's: up to 24 gates with
+/// fixed-point bounds (fixed or a fraction of the max), path constraints
+/// over distinct gates in both senses, and a `[lo, b]` window whose top
+/// is the max-delay sum of some path.
+fn gen_engine_lp(rng: &mut Rng) -> PathLp {
+    let n = 1 + rng.below(24) as usize;
+    let bounds: Vec<(i64, i64)> = (0..n)
+        .map(|_| {
+            let max = 5_000 * (1 + rng.below(20) as i64);
+            (max * rng.below(5) as i64 / 4, max)
+        })
+        .collect();
+    let path = |rng: &mut Rng| -> Vec<usize> {
+        let len = 1 + rng.below(n.min(8) as u64) as usize;
+        let mut gates: Vec<usize> = (0..len).map(|_| rng.below(n as u64) as usize).collect();
+        gates.sort_unstable();
+        gates.dedup();
+        gates
+    };
+    let mut lp = PathLp::new(&bounds);
+    for _ in 0..rng.below(4) {
+        let gates = path(rng);
+        if rng.below(2) == 0 {
+            lp.t_less_than(&gates);
+        } else {
+            lp.t_greater_than(&gates);
+        }
+    }
+    let b: i64 = path(rng).iter().map(|&g| bounds[g].1).sum();
+    lp.set_t_window(b - rng.in_range(1, b + 1), b);
+    lp
+}
+
+#[test]
+fn engine_shaped_path_lps_keep_their_pinned_answers() {
+    // A pivot rule, tie-break or arithmetic change that moves one
+    // supremum, vertex or interior witness of these LPs changes the hash.
+    let mut rng = Rng(0x00C0_FFEE);
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut feasible = 0;
+    for _ in 0..300 {
+        let lp = gen_engine_lp(&mut rng);
+        match lp.solve() {
+            PathLpOutcome::Infeasible => h.word(0),
+            PathLpOutcome::Feasible { t_sup, delays } => {
+                feasible += 1;
+                h.word(1);
+                h.word(t_sup);
+                delays.iter().for_each(|&d| h.word(d));
+                match lp.solve_interior(t_sup - 1) {
+                    None => h.word(0),
+                    Some((t, delays)) => {
+                        h.word(1);
+                        h.word(t);
+                        delays.iter().for_each(|&d| h.word(d));
+                    }
+                }
+            }
+        }
+    }
+    assert!((100..300).contains(&feasible), "{feasible} of 300 feasible");
+    assert_eq!(h.0, 0x365f_3a78_71c2_1e26, "fingerprint {:#x}", h.0);
+}
