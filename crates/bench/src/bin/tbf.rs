@@ -57,6 +57,7 @@ use tbf_logic::parsers::{mcnc_like_delays, unit_delays};
 use tbf_logic::{DelayBounds, Format, Netlist};
 use tbf_obs::json::Value;
 use tbf_obs::{diag, Phase, RunArtifact};
+use tbf_serve::protocol::output_value;
 use tbf_sim::{simulate, Stimulus};
 
 /// Whether the human-readable report goes to stdout. Cleared when
@@ -255,36 +256,6 @@ fn print_output_line(o: &tbf_core::OutputDelay) {
         note,
         o.topological
     );
-}
-
-/// The deterministic `results` entry of one per-output line.
-fn output_value(o: &tbf_core::OutputDelay) -> Value {
-    let status = match o.status {
-        OutputStatus::Exact => Value::str("exact"),
-        OutputStatus::Bounded {
-            lower,
-            upper,
-            cause,
-        } => Value::Obj(vec![
-            ("kind".to_owned(), Value::str("bounded")),
-            ("lower".to_owned(), Value::str(lower.to_string())),
-            ("upper".to_owned(), Value::str(upper.to_string())),
-            ("cause".to_owned(), Value::str(cause.to_string())),
-        ]),
-        OutputStatus::Fallback { cause } => Value::Obj(vec![
-            ("kind".to_owned(), Value::str("fallback")),
-            ("cause".to_owned(), Value::str(cause.to_string())),
-        ]),
-    };
-    Value::Obj(vec![
-        ("name".to_owned(), Value::str(&o.name)),
-        ("delay".to_owned(), Value::str(o.delay.to_string())),
-        (
-            "topological".to_owned(),
-            Value::str(o.topological.to_string()),
-        ),
-        ("status".to_owned(), status),
-    ])
 }
 
 /// The deterministic `results` entry of one engine report.

@@ -1,6 +1,6 @@
 //! The immutable gate-level netlist and its builder.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::delay::DelayBounds;
@@ -133,6 +133,7 @@ impl Netlist {
             nodes: Vec::new(),
             names: HashMap::new(),
             outputs: Vec::new(),
+            output_names: HashSet::new(),
         }
     }
 
@@ -354,6 +355,7 @@ pub struct NetlistBuilder {
     nodes: Vec<Node>,
     names: HashMap<String, NodeId>,
     outputs: Vec<(String, NodeId)>,
+    output_names: HashSet<String>,
 }
 
 impl NetlistBuilder {
@@ -410,6 +412,7 @@ impl NetlistBuilder {
     /// [`try_output`](Self::try_output) instead: two outputs sharing a
     /// name would make per-output reports ambiguous.
     pub fn output(&mut self, name: &str, node: NodeId) {
+        self.output_names.insert(name.to_owned());
         self.outputs.push((name.to_owned(), node));
     }
 
@@ -420,11 +423,16 @@ impl NetlistBuilder {
     /// Returns [`NetlistError::DuplicateName`] if an output of this name
     /// was already declared.
     pub fn try_output(&mut self, name: &str, node: NodeId) -> Result<(), NetlistError> {
-        if self.outputs.iter().any(|(n, _)| n == name) {
+        if !self.output_names.insert(name.to_owned()) {
             return Err(NetlistError::DuplicateName(name.to_owned()));
         }
         self.outputs.push((name.to_owned(), node));
         Ok(())
+    }
+
+    /// True if an output of this name was declared.
+    pub(crate) fn has_output(&self, name: &str) -> bool {
+        self.output_names.contains(name)
     }
 
     /// Looks up a previously added node by name.

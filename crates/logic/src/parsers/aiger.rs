@@ -17,8 +17,10 @@
 //! AIGER writer: the format cannot carry delays, so it cannot honor the
 //! exact round-trip guarantee the `.bench`/BLIF writers provide.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
+use super::{walk, Fanin};
 use crate::delay::DelayBounds;
 use crate::gate::GateKind;
 use crate::netlist::{Netlist, NetlistBuilder, NetlistError, NodeId};
@@ -28,9 +30,19 @@ use crate::netlist::{Netlist, NetlistBuilder, NetlistError, NodeId};
 /// hostile 30-byte file cannot request gigabytes of nodes.
 const MAX_VARS: u64 = 1 << 24;
 
+/// An AND definition: its variable, its two fanin literals and the
+/// line it was read at.
 struct AndDef {
-    rhs0: u64,
-    rhs1: u64,
+    var: u64,
+    rhs: [u64; 2],
+    line: usize,
+}
+
+/// What a variable is defined as: a primary input, or the AND at this
+/// index of the definition list.
+enum Slot {
+    Input,
+    And(usize),
 }
 
 /// Line-oriented cursor over the byte stream; AIGER mixes ASCII lines
@@ -184,19 +196,19 @@ pub fn parse_aiger(
     }
 
     // Input variables: explicit literal lines in ASCII, implicit 2..2I in
-    // binary.
+    // binary. `slots` indexes every explicitly defined variable once.
     let mut input_vars: Vec<u64> = Vec::new();
+    let mut slots: HashMap<u64, Slot> = HashMap::new();
     if binary {
         input_vars.extend(1..=n_inputs);
     } else {
-        let mut seen = HashMap::new();
-        for i in 0..n_inputs {
+        for _ in 0..n_inputs {
             let line = cursor.expect_line("an input literal")?;
             let lit = parse_literal(line.trim(), &cursor, max_var)?;
             if lit < 2 || lit % 2 != 0 {
                 return Err(cursor.err(format!("input literal {lit} must be even and nonzero")));
             }
-            if seen.insert(lit, i).is_some() {
+            if slots.insert(lit / 2, Slot::Input).is_some() {
                 return Err(cursor.err(format!("input literal {lit} defined twice")));
             }
             input_vars.push(lit / 2);
@@ -210,9 +222,8 @@ pub fn parse_aiger(
         output_lits.push(parse_literal(line.trim(), &cursor, max_var)?);
     }
 
-    // AND definitions: keyed by defining variable.
-    let mut ands: HashMap<u64, AndDef> = HashMap::new();
-    let mut and_order: Vec<u64> = Vec::new();
+    // AND definitions, in file order.
+    let mut ands: Vec<AndDef> = Vec::new();
     if binary {
         for i in 0..n_ands {
             let lhs = 2 * (n_inputs + i + 1);
@@ -227,8 +238,12 @@ pub fn parse_aiger(
             let rhs1 = rhs0.checked_sub(delta1).ok_or_else(|| {
                 cursor.err(format!("AND {lhs}: delta {delta1} puts rhs1 out of range"))
             })?;
-            ands.insert(lhs / 2, AndDef { rhs0, rhs1 });
-            and_order.push(lhs / 2);
+            slots.insert(lhs / 2, Slot::And(ands.len()));
+            ands.push(AndDef {
+                var: lhs / 2,
+                rhs: [rhs0, rhs1],
+                line: cursor.line,
+            });
         }
     } else {
         for _ in 0..n_ands {
@@ -243,13 +258,22 @@ pub fn parse_aiger(
             if lhs < 2 || lhs % 2 != 0 {
                 return Err(cursor.err(format!("AND lhs {lhs} must be even and nonzero")));
             }
-            if input_vars.contains(&(lhs / 2)) {
-                return Err(cursor.err(format!("AND lhs {lhs} redefines an input")));
+            match slots.entry(lhs / 2) {
+                Entry::Occupied(slot) => {
+                    return Err(cursor.err(match slot.get() {
+                        Slot::Input => format!("AND lhs {lhs} redefines an input"),
+                        Slot::And(_) => format!("AND lhs {lhs} defined twice"),
+                    }))
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(Slot::And(ands.len()));
+                }
             }
-            if ands.insert(lhs / 2, AndDef { rhs0, rhs1 }).is_some() {
-                return Err(cursor.err(format!("AND lhs {lhs} defined twice")));
-            }
-            and_order.push(lhs / 2);
+            ands.push(AndDef {
+                var: lhs / 2,
+                rhs: [rhs0, rhs1],
+                line: cursor.line,
+            });
         }
     }
 
@@ -292,8 +316,8 @@ pub fn parse_aiger(
     }
 
     // Build the netlist: inputs first (symbol name or `i{pos}`), then
-    // AND/NOT nodes in definition order via iterative DFS (ASCII files
-    // may order definitions arbitrarily).
+    // AND/NOT nodes in the shared walk's order (ASCII files may order
+    // definitions arbitrarily).
     let mut builder = Netlist::builder();
     let mut lit2node: HashMap<u64, NodeId> = HashMap::new();
     for (pos, &var) in input_vars.iter().enumerate() {
@@ -304,61 +328,32 @@ pub fn parse_aiger(
         let id = builder.try_input(&name)?;
         lit2node.insert(2 * var, id);
     }
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        Visiting,
-        Done,
-    }
-    let mut marks: HashMap<u64, Mark> = HashMap::new();
-    for &root in &and_order {
-        if marks.get(&root) == Some(&Mark::Done) {
-            continue;
-        }
-        // Stack of (var, next_fanin_to_process).
-        let mut stack: Vec<(u64, usize)> = vec![(root, 0)];
-        while let Some((var, idx)) = stack.pop() {
-            if lit2node.contains_key(&(2 * var)) {
-                continue;
-            }
-            let def = &ands[&var];
-            if idx == 0 {
-                if marks.get(&var) == Some(&Mark::Visiting) {
-                    return Err(
-                        cursor.err(format!("combinational cycle through literal {}", 2 * var))
-                    );
-                }
-                marks.insert(var, Mark::Visiting);
-            }
-            let rhs = [def.rhs0, def.rhs1];
-            if let Some(&fanin_lit) = rhs.get(idx) {
-                stack.push((var, idx + 1));
-                let fanin_var = fanin_lit / 2;
-                if fanin_lit >= 2 && !lit2node.contains_key(&(2 * fanin_var)) {
-                    if !ands.contains_key(&fanin_var) {
-                        return Err(
-                            cursor.err(format!("literal {fanin_lit} is neither input nor AND"))
-                        );
-                    }
-                    if marks.get(&fanin_var) == Some(&Mark::Visiting) {
-                        return Err(cursor.err(format!(
-                            "combinational cycle through literal {}",
-                            2 * fanin_var
-                        )));
-                    }
-                    stack.push((fanin_var, 0));
-                }
-            } else {
-                let f0 = node_for_lit(&mut builder, &mut lit2node, def.rhs0, &mut delay_fn)?;
-                let f1 = node_for_lit(&mut builder, &mut lit2node, def.rhs1, &mut delay_fn)?;
-                let delay = delay_fn(GateKind::And, 2);
-                let id =
-                    builder.gate(GateKind::And, &format!("n{}", 2 * var), vec![f0, f1], delay)?;
-                lit2node.insert(2 * var, id);
-                marks.insert(var, Mark::Done);
-            }
-        }
-    }
+    walk(
+        ands.len(),
+        |i| &ands[i].rhs[..],
+        |&lit| match slots.get(&(lit / 2)) {
+            Some(&Slot::And(j)) => Ok(Fanin::Def(j)),
+            // Inputs (in a binary file the variables 1..=I), and the
+            // constants 0 and 1 (variable 0).
+            Some(Slot::Input) => Ok(Fanin::Bound(())),
+            None if lit < 2 || (binary && lit / 2 <= n_inputs) => Ok(Fanin::Bound(())),
+            None => Err(cursor.err(format!("literal {lit} is neither input nor AND"))),
+        },
+        |i, _| {
+            let def = &ands[i];
+            let f0 = node_for_lit(&mut builder, &mut lit2node, def.rhs[0], &mut delay_fn)?;
+            let f1 = node_for_lit(&mut builder, &mut lit2node, def.rhs[1], &mut delay_fn)?;
+            let delay = delay_fn(GateKind::And, 2);
+            let lit = 2 * def.var;
+            let id = builder.gate(GateKind::And, &format!("n{lit}"), vec![f0, f1], delay)?;
+            lit2node.insert(lit, id);
+            Ok(())
+        },
+        |j| NetlistError::Parse {
+            line: ands[j].line,
+            message: format!("combinational cycle through literal {}", 2 * ands[j].var),
+        },
+    )?;
 
     for (pos, &lit) in output_lits.iter().enumerate() {
         if lit >= 2 && !lit2node.contains_key(&(2 * (lit / 2))) {

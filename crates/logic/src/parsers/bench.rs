@@ -10,9 +10,11 @@
 //! 22 = NAND(10, 16)
 //! ```
 //!
-//! Definitions may appear in any order; the parser resolves forward
-//! references and rejects combinational cycles. Sequential elements
-//! (`DFF`) are rejected — the paper treats purely combinational logic.
+//! Definitions may appear in any order: forward references resolve and
+//! combinational cycles are rejected, by the name resolution all four
+//! readers share (see the [`parsers`](super) module). Sequential
+//! elements (`DFF`) are rejected — the paper treats purely
+//! combinational logic.
 //!
 //! Two `@tbf` comment pragmas (see `FORMATS.md`) make the format
 //! self-contained for round-tripping: `# @tbf delay <min> <max>` on a
@@ -21,15 +23,13 @@
 //! `# @tbf output <name> <driver>` line re-binds a declared output to a
 //! differently-named driver node. Plain comments are ignored as always.
 
-use std::collections::HashMap;
-
 use super::{
-    check_inputs_first, check_writable_name, delay_pragma, parse_delay_pragma, parse_output_pragma,
-    split_pragma,
+    assemble, check_inputs_first, check_writable_name, delay_pragma, parse_delay_pragma,
+    parse_output_pragma, split_pragma, Declarations, Def, Gate, Rebind, Wording,
 };
 use crate::delay::DelayBounds;
 use crate::gate::GateKind;
-use crate::netlist::{Netlist, NetlistError, NodeId};
+use crate::netlist::{Netlist, NetlistError};
 
 /// Parses `.bench` text into a [`Netlist`], assigning each gate delay
 /// bounds via `delay_fn(kind, fanin_count)`.
@@ -61,20 +61,7 @@ pub fn parse_bench(
     text: &str,
     mut delay_fn: impl FnMut(GateKind, usize) -> DelayBounds,
 ) -> Result<Netlist, NetlistError> {
-    struct Def {
-        kind: GateKind,
-        fanins: Vec<String>,
-        delay: Option<DelayBounds>,
-        line: usize,
-    }
-    let mut inputs: Vec<(String, usize)> = Vec::new();
-    let mut outputs: Vec<(String, usize)> = Vec::new();
-    let mut defs: HashMap<String, Def> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
-    // `@tbf output` pragma re-bindings: output name → (driver, line).
-    let mut aliases: HashMap<String, (String, usize)> = HashMap::new();
-    let mut alias_order: Vec<(String, usize)> = Vec::new();
-
+    let mut decls = Declarations::<Gate>::default();
     for (lineno, raw) in text.lines().enumerate() {
         let lineno = lineno + 1;
         let (code, pragma) = split_pragma(raw);
@@ -85,12 +72,13 @@ pub fn parse_bench(
         };
         if line.is_empty() {
             if let Some(body) = pragma {
-                let (name, driver) = parse_output_pragma(body, lineno)?
+                let (output, driver) = parse_output_pragma(body, lineno)?
                     .ok_or_else(|| err(format!("pragma `{body}` must annotate a gate line")))?;
-                if aliases.insert(name.clone(), (driver, lineno)).is_some() {
-                    return Err(err(format!("duplicate output pragma for `{name}`")));
-                }
-                alias_order.push((name, lineno));
+                decls.rebinds.push(Rebind {
+                    output,
+                    driver,
+                    line: lineno,
+                });
             }
             continue;
         }
@@ -109,15 +97,10 @@ pub fn parse_bench(
             }
         }
         if let Some(rest) = strip_directive(line, "INPUT") {
-            inputs.push((rest.map_err(&err)?, lineno));
+            decls.inputs.push((rest.map_err(&err)?, lineno));
         } else if let Some(rest) = strip_directive(line, "OUTPUT") {
-            let name = rest.map_err(&err)?;
-            if outputs.iter().any(|(n, _)| *n == name) {
-                return Err(err(format!("duplicate OUTPUT `{name}`")));
-            }
-            outputs.push((name, lineno));
+            decls.outputs.push((rest.map_err(&err)?, lineno));
         } else if let Some((lhs, rhs)) = line.split_once('=') {
-            let name = lhs.trim().to_owned();
             let rhs = rhs.trim();
             let open = rhs
                 .find('(')
@@ -147,138 +130,30 @@ pub fn parse_bench(
                 .map(|s| s.trim().to_owned())
                 .filter(|s| !s.is_empty())
                 .collect();
-            if defs.contains_key(&name) {
-                return Err(NetlistError::DuplicateName(name));
-            }
-            defs.insert(
-                name.clone(),
-                Def {
+            decls.defs.push(Def {
+                name: lhs.trim().to_owned(),
+                fanins,
+                line: lineno,
+                payload: Gate {
                     kind,
-                    fanins,
                     delay: pragma_delay,
-                    line: lineno,
                 },
-            );
-            order.push(name);
+            });
         } else {
             return Err(err(format!("unrecognized line `{line}`")));
         }
     }
-
-    // A name declared INPUT and also defined as a gate would silently
-    // shadow the definition during resolution; reject it up front.
-    for (name, line) in &inputs {
-        if let Some(def) = defs.get(name) {
-            return Err(NetlistError::Parse {
-                line: def.line.max(*line),
-                message: format!("`{name}` is declared INPUT and defined as a gate"),
-            });
-        }
-    }
-
-    // Resolve in dependency order with an explicit DFS (handles forward
-    // references and reports cycles).
-    let mut builder = Netlist::builder();
-    let mut resolved: HashMap<String, NodeId> = HashMap::new();
-    for (name, line) in &inputs {
-        let id = builder.try_input(name).map_err(|e| match e {
-            NetlistError::DuplicateName(n) => NetlistError::Parse {
-                line: *line,
-                message: format!("duplicate INPUT `{n}`"),
-            },
-            other => other,
-        })?;
-        resolved.insert(name.clone(), id);
-    }
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        Visiting,
-        Done,
-    }
-    let mut marks: HashMap<String, Mark> = HashMap::new();
-    // Iterative DFS: (name, next_fanin_to_process).
-    for root in &order {
-        if marks.get(root) == Some(&Mark::Done) {
-            continue;
-        }
-        let mut stack: Vec<(String, usize)> = vec![(root.clone(), 0)];
-        while let Some((name, idx)) = stack.pop() {
-            if resolved.contains_key(&name) {
-                continue;
-            }
-            let def = defs
-                .get(&name)
-                .ok_or_else(|| NetlistError::UnknownNode(name.clone()))?;
-            if idx == 0 {
-                if marks.get(&name) == Some(&Mark::Visiting) {
-                    return Err(NetlistError::Parse {
-                        line: def.line,
-                        message: format!("combinational cycle through `{name}`"),
-                    });
-                }
-                marks.insert(name.clone(), Mark::Visiting);
-            }
-            if let Some(fanin) = def.fanins.get(idx) {
-                let fanin = fanin.clone();
-                stack.push((name, idx + 1));
-                if !resolved.contains_key(&fanin) {
-                    if marks.get(&fanin) == Some(&Mark::Visiting) {
-                        let line = defs.get(&fanin).map(|d| d.line).unwrap_or(def.line);
-                        return Err(NetlistError::Parse {
-                            line,
-                            message: format!("combinational cycle through `{fanin}`"),
-                        });
-                    }
-                    stack.push((fanin, 0));
-                }
-            } else {
-                // All fanins resolved: emit the gate.
-                let fanin_ids: Vec<NodeId> = def
-                    .fanins
-                    .iter()
-                    .map(|f| {
-                        resolved
-                            .get(f)
-                            .copied()
-                            .ok_or_else(|| NetlistError::UnknownNode(f.clone()))
-                    })
-                    .collect::<Result<_, _>>()?;
-                let delay = def
-                    .delay
-                    .unwrap_or_else(|| delay_fn(def.kind, fanin_ids.len()));
-                let id = builder.gate(def.kind, &name, fanin_ids, delay)?;
-                resolved.insert(name.clone(), id);
-                marks.insert(name, Mark::Done);
-            }
-        }
-    }
-
-    // Every output pragma must re-bind a declared output.
-    for (name, line) in &alias_order {
-        if !outputs.iter().any(|(n, _)| n == name) {
-            return Err(NetlistError::Parse {
-                line: *line,
-                message: format!("output pragma for undeclared OUTPUT `{name}`"),
-            });
-        }
-    }
-    for (name, line) in &outputs {
-        let driver = aliases.get(name).map_or(name.as_str(), |(d, _)| d.as_str());
-        let id = resolved
-            .get(driver)
-            .copied()
-            .ok_or_else(|| NetlistError::UnknownNode(driver.to_owned()))?;
-        builder.try_output(name, id).map_err(|e| match e {
-            NetlistError::DuplicateName(n) => NetlistError::Parse {
-                line: *line,
-                message: format!("duplicate OUTPUT `{n}`"),
-            },
-            other => other,
-        })?;
-    }
-    builder.finish()
+    assemble(&decls, &WORDING, |builder, def, fanins| {
+        def.payload.build(builder, &def.name, fanins, &mut delay_fn)
+    })
 }
+
+/// How `.bench` words its name-resolution errors.
+pub(super) const WORDING: Wording = Wording {
+    input: "INPUT",
+    output: "OUTPUT",
+    clash: "declared INPUT and defined as a gate",
+};
 
 /// Recognizes `KEYWORD(name)` directives. A line merely *starting* with
 /// the keyword is not a directive — `output22 = AND(a, b)` is a gate

@@ -30,49 +30,30 @@
 //! `# @tbf output <name> <driver>` re-binds a declared output to a
 //! differently-named driver.
 
-use std::collections::HashMap;
-
 use super::{
-    check_inputs_first, check_writable_name, delay_pragma, parse_delay_pragma, parse_output_pragma,
-    split_pragma,
+    assemble, check_inputs_first, check_writable_name, delay_pragma, parse_delay_pragma,
+    parse_output_pragma, split_pragma, Declarations, Def, Gate, Rebind, Wording,
 };
 use crate::delay::DelayBounds;
 use crate::gate::GateKind;
-use crate::netlist::{Netlist, NetlistError, NodeId};
+use crate::netlist::{Netlist, NetlistBuilder, NetlistError, NodeId};
 
-struct Cover {
-    inputs: Vec<String>,
-    rows: Vec<(Vec<Option<bool>>, bool)>,
-    line: usize,
-}
-
-enum Def {
-    /// A `.names` cover table, synthesized as a two-level network.
-    Cover(Cover),
+/// The payload of a BLIF definition.
+enum Body {
+    /// A `.names` cover table: one row of input literals (`None` for
+    /// `-`) and its output value per line, synthesized as a two-level
+    /// network.
+    Cover(Vec<(Vec<Option<bool>>, bool)>),
     /// A `.gate` cell instance, mapping directly onto one gate node.
-    Cell {
-        kind: GateKind,
-        fanins: Vec<String>,
-        delay: Option<DelayBounds>,
-        line: usize,
-    },
+    Cell(Gate),
 }
 
-impl Def {
-    fn fanin_names(&self) -> &[String] {
-        match self {
-            Def::Cover(c) => &c.inputs,
-            Def::Cell { fanins, .. } => fanins,
-        }
-    }
-
-    fn line(&self) -> usize {
-        match self {
-            Def::Cover(c) => c.line,
-            Def::Cell { line, .. } => *line,
-        }
-    }
-}
+/// How BLIF words its name-resolution errors.
+pub(super) const WORDING: Wording = Wording {
+    input: "input",
+    output: "output",
+    clash: "declared in .inputs and defined as a gate",
+};
 
 /// Maps a TBF cell-library name to its gate kind and expected arity.
 fn cell_kind(cell: &str) -> Result<(GateKind, usize), String> {
@@ -157,13 +138,7 @@ pub fn parse_blif(
     text: &str,
     mut delay_fn: impl FnMut(GateKind, usize) -> DelayBounds,
 ) -> Result<Netlist, NetlistError> {
-    let mut inputs: Vec<String> = Vec::new();
-    let mut outputs: Vec<String> = Vec::new();
-    let mut defs: HashMap<String, Def> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
-    // `@tbf output` pragma re-bindings: output name → (driver, line).
-    let mut aliases: HashMap<String, (String, usize)> = HashMap::new();
-    let mut alias_order: Vec<(String, usize)> = Vec::new();
+    let mut decls = Declarations::<Body>::default();
 
     // Logical lines (backslash continuation), keeping 1-based numbers and
     // any `@tbf` pragma found on a constituent physical line.
@@ -203,12 +178,13 @@ pub fn parse_blif(
         };
         if line.is_empty() {
             if let Some(body) = pragma {
-                let (name, driver) = parse_output_pragma(&body, lineno)?
+                let (output, driver) = parse_output_pragma(&body, lineno)?
                     .ok_or_else(|| err(format!("pragma `{body}` must annotate a .gate line")))?;
-                if aliases.insert(name.clone(), (driver, lineno)).is_some() {
-                    return Err(err(format!("duplicate output pragma for `{name}`")));
-                }
-                alias_order.push((name, lineno));
+                decls.rebinds.push(Rebind {
+                    output,
+                    driver,
+                    line: lineno,
+                });
             }
             continue;
         }
@@ -230,15 +206,12 @@ pub fn parse_blif(
         let head = tokens.next().unwrap_or_default();
         match head {
             ".model" => {}
-            ".inputs" => inputs.extend(tokens.map(str::to_owned)),
-            ".outputs" => {
-                for name in tokens {
-                    if outputs.iter().any(|o| o == name) {
-                        return Err(err(format!("duplicate output `{name}`")));
-                    }
-                    outputs.push(name.to_owned());
-                }
-            }
+            ".inputs" => decls
+                .inputs
+                .extend(tokens.map(|name| (name.to_owned(), lineno))),
+            ".outputs" => decls
+                .outputs
+                .extend(tokens.map(|name| (name.to_owned(), lineno))),
             ".names" => {
                 let mut signals: Vec<String> = tokens.map(str::to_owned).collect();
                 let target = signals
@@ -296,23 +269,12 @@ pub fn parse_blif(
                     };
                     rows.push((lits, out));
                 }
-                if defs.contains_key(&target) {
-                    return Err(NetlistError::DuplicateName(target));
-                }
-                if inputs.contains(&target) {
-                    return Err(err(format!(
-                        "`{target}` is declared in .inputs and defined by .names"
-                    )));
-                }
-                defs.insert(
-                    target.clone(),
-                    Def::Cover(Cover {
-                        inputs: signals,
-                        rows,
-                        line: lineno,
-                    }),
-                );
-                order.push(target);
+                decls.defs.push(Def {
+                    name: target,
+                    fanins: signals,
+                    line: lineno,
+                    payload: Body::Cover(rows),
+                });
             }
             ".gate" => {
                 let cell = tokens
@@ -348,24 +310,15 @@ pub fn parse_blif(
                         fanins.len()
                     )));
                 }
-                if defs.contains_key(&target) {
-                    return Err(NetlistError::DuplicateName(target));
-                }
-                if inputs.contains(&target) {
-                    return Err(err(format!(
-                        "`{target}` is declared in .inputs and defined by .gate"
-                    )));
-                }
-                defs.insert(
-                    target.clone(),
-                    Def::Cell {
+                decls.defs.push(Def {
+                    name: target,
+                    fanins,
+                    line: lineno,
+                    payload: Body::Cell(Gate {
                         kind,
-                        fanins,
                         delay: pragma_delay,
-                        line: lineno,
-                    },
-                );
-                order.push(target);
+                    }),
+                });
             }
             ".end" => break,
             ".latch" | ".subckt" | ".mlatch" => {
@@ -375,120 +328,36 @@ pub fn parse_blif(
         }
     }
 
-    // Catch the reverse declaration order too (`.names` before a late
-    // `.inputs` naming the same signal).
-    for name in &inputs {
-        if let Some(def) = defs.get(name) {
-            return Err(NetlistError::Parse {
-                line: def.line(),
-                message: format!("`{name}` is declared in .inputs and defined as a gate"),
-            });
-        }
-    }
-
-    // Synthesize covers in dependency order.
-    let mut builder = Netlist::builder();
-    let mut resolved: HashMap<String, NodeId> = HashMap::new();
-    for name in &inputs {
-        let id = builder.try_input(name)?;
-        resolved.insert(name.clone(), id);
-    }
-    // Kahn-style resolution loop (definitions are usually few; quadratic
-    // is fine and keeps cycle detection trivial).
-    let mut remaining = order.clone();
-    while !remaining.is_empty() {
-        let ready = remaining.iter().position(|name| {
-            defs[name]
-                .fanin_names()
-                .iter()
-                .all(|i| resolved.contains_key(i))
-        });
-        match ready {
-            Some(p) => {
-                let name = remaining.remove(p);
-                let id = match &defs[&name] {
-                    Def::Cover(cover) => {
-                        synth_cover(&mut builder, &name, cover, &resolved, &mut delay_fn)?
-                    }
-                    Def::Cell {
-                        kind,
-                        fanins,
-                        delay,
-                        ..
-                    } => {
-                        let fanin_ids: Vec<NodeId> = fanins
-                            .iter()
-                            .map(|f| {
-                                resolved
-                                    .get(f)
-                                    .copied()
-                                    .ok_or_else(|| NetlistError::UnknownNode(f.clone()))
-                            })
-                            .collect::<Result<_, _>>()?;
-                        let delay = delay.unwrap_or_else(|| delay_fn(*kind, fanin_ids.len()));
-                        builder.gate(*kind, &name, fanin_ids, delay)?
-                    }
-                };
-                resolved.insert(name, id);
+    assemble(&decls, &WORDING, |builder, def, fanins| {
+        match &def.payload {
+            Body::Cover(rows) => {
+                synth_cover(builder, &def.name, def.line, rows, &fanins, &mut delay_fn)
             }
-            None => {
-                // Nothing progressed: cycle or dangling reference.
-                let name = &remaining[0];
-                let def = &defs[name];
-                let missing = def
-                    .fanin_names()
-                    .iter()
-                    .find(|i| !resolved.contains_key(*i) && !defs.contains_key(*i));
-                return Err(match missing {
-                    Some(m) => NetlistError::UnknownNode(m.clone()),
-                    None => NetlistError::Parse {
-                        line: def.line(),
-                        message: format!("combinational cycle through `{name}`"),
-                    },
-                });
-            }
+            Body::Cell(gate) => gate.build(builder, &def.name, fanins, &mut delay_fn),
         }
-    }
-
-    // Every output pragma must re-bind a declared output.
-    for (name, line) in &alias_order {
-        if !outputs.iter().any(|o| o == name) {
-            return Err(NetlistError::Parse {
-                line: *line,
-                message: format!("output pragma for undeclared output `{name}`"),
-            });
-        }
-    }
-    for name in &outputs {
-        let driver = aliases.get(name).map_or(name.as_str(), |(d, _)| d.as_str());
-        let id = resolved
-            .get(driver)
-            .copied()
-            .ok_or_else(|| NetlistError::UnknownNode(driver.to_owned()))?;
-        builder.try_output(name, id)?;
-    }
-    builder.finish()
+    })
 }
 
 fn synth_cover(
-    builder: &mut crate::netlist::NetlistBuilder,
+    builder: &mut NetlistBuilder,
     name: &str,
-    cover: &Cover,
-    resolved: &HashMap<String, NodeId>,
+    line: usize,
+    rows: &[(Vec<Option<bool>>, bool)],
+    fanins: &[NodeId],
     delay_fn: &mut impl FnMut(GateKind, usize) -> DelayBounds,
 ) -> Result<NodeId, NetlistError> {
     // Constant covers.
-    if cover.rows.is_empty() {
+    if rows.is_empty() {
         return builder.gate(GateKind::Const0, name, vec![], DelayBounds::ZERO);
     }
-    let phase = cover.rows[0].1;
-    if cover.rows.iter().any(|(_, p)| *p != phase) {
+    let phase = rows[0].1;
+    if rows.iter().any(|(_, p)| *p != phase) {
         return Err(NetlistError::Parse {
-            line: cover.line,
+            line,
             message: format!("mixed-phase cover for `{name}`"),
         });
     }
-    if cover.inputs.is_empty() {
+    if fanins.is_empty() {
         let kind = if phase {
             GateKind::Const1
         } else {
@@ -499,30 +368,18 @@ fn synth_cover(
 
     // Build one product per row, OR them, invert for off-set covers.
     let mut products = Vec::new();
-    for (r, (lits, _)) in cover.rows.iter().enumerate() {
+    for (r, (lits, _)) in rows.iter().enumerate() {
         let mut terms = Vec::new();
-        for (i, lit) in lits.iter().enumerate() {
-            // The resolution loop only schedules fully-resolved covers,
-            // but a typed error beats a panic if that invariant slips.
-            let src = *resolved
-                .get(&cover.inputs[i])
-                .ok_or_else(|| NetlistError::UnknownNode(cover.inputs[i].clone()))?;
+        for (i, (lit, &src)) in lits.iter().zip(fanins).enumerate() {
             match lit {
                 None => {}
                 Some(true) => terms.push(src),
-                Some(false) => {
-                    let inv_name = format!("{name}__r{r}_n{i}");
-                    let inv = match builder.find(&inv_name) {
-                        Some(id) => id,
-                        None => builder.gate(
-                            GateKind::Not,
-                            &inv_name,
-                            vec![src],
-                            delay_fn(GateKind::Not, 1),
-                        )?,
-                    };
-                    terms.push(inv);
-                }
+                Some(false) => terms.push(builder.gate(
+                    GateKind::Not,
+                    &format!("{name}__r{r}_n{i}"),
+                    vec![src],
+                    delay_fn(GateKind::Not, 1),
+                )?),
             }
         }
         let product = match terms.len() {
@@ -841,6 +698,11 @@ mod tests {
             (
                 ".model m\n.inputs a\n.outputs f\n.names\n.end\n",
                 "no signals",
+            ),
+            // A signal named like a cover's inverter is not that inverter.
+            (
+                ".model m\n.inputs a\n.outputs g\n.names g__r0_n0\n1\n.names a g\n0 1\n.end\n",
+                "duplicate node name `g__r0_n0`",
             ),
         ];
         for (src, needle) in cases {

@@ -24,11 +24,10 @@
 //! vectored — `assign`, `always`, buses (`[3:0]`), parameters, multiple
 //! modules — is rejected with a typed error.
 
-use std::collections::HashMap;
-
+use super::{assemble, Declarations, Def, Gate, Wording};
 use crate::delay::{DelayBounds, Time};
 use crate::gate::GateKind;
-use crate::netlist::{Netlist, NetlistError, NodeId};
+use crate::netlist::{Netlist, NetlistError};
 
 /// Replaces comments with whitespace, preserving line numbers.
 fn strip_comments(text: &str) -> Result<String, NetlistError> {
@@ -162,12 +161,6 @@ pub fn parse_verilog(
     text: &str,
     mut delay_fn: impl FnMut(GateKind, usize) -> DelayBounds,
 ) -> Result<Netlist, NetlistError> {
-    struct Def {
-        kind: GateKind,
-        fanins: Vec<String>,
-        delay: Option<DelayBounds>,
-        line: usize,
-    }
     let stripped = strip_comments(text)?;
 
     // Split into `;`-terminated statements, tracking each one's first
@@ -210,10 +203,7 @@ pub fn parse_verilog(
         });
     }
 
-    let mut inputs: Vec<(String, usize)> = Vec::new();
-    let mut outputs: Vec<(String, usize)> = Vec::new();
-    let mut defs: HashMap<String, Def> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
+    let mut decls = Declarations::<Gate>::default();
     let mut in_module = false;
     let mut module_done = false;
 
@@ -273,13 +263,8 @@ pub fn parse_verilog(
                     let name = name.trim();
                     check_net_name(name, lineno)?;
                     match keyword {
-                        "input" => inputs.push((name.to_owned(), lineno)),
-                        "output" => {
-                            if outputs.iter().any(|(n, _)| n == name) {
-                                return Err(err(format!("duplicate output `{name}`")));
-                            }
-                            outputs.push((name.to_owned(), lineno));
-                        }
+                        "input" => decls.inputs.push((name.to_owned(), lineno)),
+                        "output" => decls.outputs.push((name.to_owned(), lineno)),
                         // Wires are implicit; the declaration is allowed
                         // but carries no information we need.
                         _ => {}
@@ -357,19 +342,12 @@ pub fn parse_verilog(
                         "`{kind_str}` must have exactly one output and one input here"
                     )));
                 }
-                if defs.contains_key(&target) {
-                    return Err(NetlistError::DuplicateName(target));
-                }
-                defs.insert(
-                    target.clone(),
-                    Def {
-                        kind,
-                        fanins,
-                        delay,
-                        line: lineno,
-                    },
-                );
-                order.push(target);
+                decls.defs.push(Def {
+                    name: target,
+                    fanins,
+                    line: lineno,
+                    payload: Gate { kind, delay },
+                });
             }
         }
     }
@@ -386,81 +364,17 @@ pub fn parse_verilog(
         });
     }
 
-    for (name, line) in &inputs {
-        if let Some(def) = defs.get(name) {
-            return Err(NetlistError::Parse {
-                line: def.line.max(*line),
-                message: format!("`{name}` is declared input and driven by a gate"),
-            });
-        }
-    }
-
-    // Resolve in dependency order (first-ready in declaration order, so
-    // reparsing a topologically-sorted file preserves node ids).
-    let mut builder = Netlist::builder();
-    let mut resolved: HashMap<String, NodeId> = HashMap::new();
-    for (name, line) in &inputs {
-        let id = builder.try_input(name).map_err(|e| match e {
-            NetlistError::DuplicateName(n) => NetlistError::Parse {
-                line: *line,
-                message: format!("duplicate input `{n}`"),
-            },
-            other => other,
-        })?;
-        resolved.insert(name.clone(), id);
-    }
-    let mut remaining = order.clone();
-    while !remaining.is_empty() {
-        let ready = remaining
-            .iter()
-            .position(|name| defs[name].fanins.iter().all(|f| resolved.contains_key(f)));
-        match ready {
-            Some(p) => {
-                let name = remaining.remove(p);
-                let def = &defs[&name];
-                let fanin_ids: Vec<NodeId> = def
-                    .fanins
-                    .iter()
-                    .map(|f| {
-                        resolved
-                            .get(f)
-                            .copied()
-                            .ok_or_else(|| NetlistError::UnknownNode(f.clone()))
-                    })
-                    .collect::<Result<_, _>>()?;
-                let delay = def
-                    .delay
-                    .unwrap_or_else(|| delay_fn(def.kind, fanin_ids.len()));
-                let id = builder.gate(def.kind, &name, fanin_ids, delay)?;
-                resolved.insert(name, id);
-            }
-            None => {
-                let name = &remaining[0];
-                let def = &defs[name];
-                let missing = def
-                    .fanins
-                    .iter()
-                    .find(|f| !resolved.contains_key(*f) && !defs.contains_key(*f));
-                return Err(match missing {
-                    Some(m) => NetlistError::UnknownNode(m.clone()),
-                    None => NetlistError::Parse {
-                        line: def.line,
-                        message: format!("combinational cycle through `{name}`"),
-                    },
-                });
-            }
-        }
-    }
-
-    for (name, _) in &outputs {
-        let id = resolved
-            .get(name)
-            .copied()
-            .ok_or_else(|| NetlistError::UnknownNode(name.clone()))?;
-        builder.try_output(name, id)?;
-    }
-    builder.finish()
+    assemble(&decls, &WORDING, |builder, def, fanins| {
+        def.payload.build(builder, &def.name, fanins, &mut delay_fn)
+    })
 }
+
+/// How Verilog words its name-resolution errors.
+pub(super) const WORDING: Wording = Wording {
+    input: "input",
+    output: "output",
+    clash: "declared input and driven by a gate",
+};
 
 #[cfg(test)]
 mod tests {

@@ -60,7 +60,7 @@
 
 use std::fmt;
 
-use tbf_core::{CircuitReport, DelayOptions, OutputStatus};
+use tbf_core::{CircuitReport, DelayOptions, OutputDelay, OutputStatus};
 use tbf_logic::parsers::{mcnc_like_delays, unit_delays};
 use tbf_logic::{Format, Netlist};
 use tbf_obs::json::Value;
@@ -483,6 +483,39 @@ pub fn parse_request(
     })
 }
 
+/// The deterministic JSON of one output's result: its name, delay,
+/// topological bound and status (with the bounds and cause of a
+/// degraded answer). Shared by the `result` member of a response and the
+/// `tbf` CLI's run artifact.
+pub fn output_value(o: &OutputDelay) -> Value {
+    let status = match o.status {
+        OutputStatus::Exact => Value::str("exact"),
+        OutputStatus::Bounded {
+            lower,
+            upper,
+            cause,
+        } => Value::Obj(vec![
+            ("kind".to_owned(), Value::str("bounded")),
+            ("lower".to_owned(), Value::str(lower.to_string())),
+            ("upper".to_owned(), Value::str(upper.to_string())),
+            ("cause".to_owned(), Value::str(cause.to_string())),
+        ]),
+        OutputStatus::Fallback { cause } => Value::Obj(vec![
+            ("kind".to_owned(), Value::str("fallback")),
+            ("cause".to_owned(), Value::str(cause.to_string())),
+        ]),
+    };
+    Value::Obj(vec![
+        ("name".to_owned(), Value::str(&o.name)),
+        ("delay".to_owned(), Value::str(o.delay.to_string())),
+        (
+            "topological".to_owned(),
+            Value::str(o.topological.to_string()),
+        ),
+        ("status".to_owned(), status),
+    ])
+}
+
 /// The deterministic `result` member of an OK response.
 pub fn report_value(r: &CircuitReport) -> Value {
     let rung = if r.all_exact() {
@@ -496,38 +529,6 @@ pub fn report_value(r: &CircuitReport) -> Value {
     } else {
         "bounded"
     };
-    let outputs = r
-        .outputs
-        .iter()
-        .map(|o| {
-            let status = match o.status {
-                OutputStatus::Exact => Value::str("exact"),
-                OutputStatus::Bounded {
-                    lower,
-                    upper,
-                    cause,
-                } => Value::Obj(vec![
-                    ("kind".to_owned(), Value::str("bounded")),
-                    ("lower".to_owned(), Value::str(lower.to_string())),
-                    ("upper".to_owned(), Value::str(upper.to_string())),
-                    ("cause".to_owned(), Value::str(cause.to_string())),
-                ]),
-                OutputStatus::Fallback { cause } => Value::Obj(vec![
-                    ("kind".to_owned(), Value::str("fallback")),
-                    ("cause".to_owned(), Value::str(cause.to_string())),
-                ]),
-            };
-            Value::Obj(vec![
-                ("name".to_owned(), Value::str(&o.name)),
-                ("delay".to_owned(), Value::str(o.delay.to_string())),
-                (
-                    "topological".to_owned(),
-                    Value::str(o.topological.to_string()),
-                ),
-                ("status".to_owned(), status),
-            ])
-        })
-        .collect();
     Value::Obj(vec![
         ("lower".to_owned(), Value::str(r.lower.to_string())),
         ("upper".to_owned(), Value::str(r.upper.to_string())),
@@ -543,7 +544,10 @@ pub fn report_value(r: &CircuitReport) -> Value {
             Value::str(r.topological.to_string()),
         ),
         ("rung".to_owned(), Value::str(rung)),
-        ("outputs".to_owned(), Value::Arr(outputs)),
+        (
+            "outputs".to_owned(),
+            Value::Arr(r.outputs.iter().map(output_value).collect()),
+        ),
     ])
 }
 
